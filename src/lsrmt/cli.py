@@ -3,7 +3,9 @@
 Every run echoes its resolved configuration and emits machine-readable
 output (json by default, csv or text on request).  Identical invocations
 produce byte-identical output.  Exit codes: 0 pass, 1 verification failure,
-2 usage error.
+2 any other error: bad usage or input, a truncation tail bound over its
+tolerance, or a quadrature grid that does not converge.  Errors print
+{"schema", "error"} JSON in place of a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+
+from .rmt import QuadratureError, TruncationError
 
 SCHEMA = "ls-rmt/1"
 
@@ -38,12 +42,6 @@ def parse_complex_list(text: str):
         return tuple(complex(p) for p in text.split(","))
     except ValueError:
         raise SystemExit2(f"bad complex list {text!r}; want e.g. 0.3+0.2j,1.1")
-
-
-def parse_index_seq(text: str):
-    if text in ("", "-"):
-        return ()
-    return tuple(int(p) for p in text.split(","))
 
 
 class SystemExit2(Exception):
@@ -313,7 +311,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TruncationError, QuadratureError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 2
     payload = {"schema": SCHEMA, "command": args.command, **payload}

@@ -15,21 +15,15 @@ from math import sqrt
 
 import numpy as np
 
+from .rmt import _refine_grid
+from .symfunc import monomial_on_arrays
+
 POLE_EPS = 1e-9
 CHUNK = 4096
 
 
 class PoleProximityError(ValueError):
     """Evaluation point too close to an eigenvalue."""
-
-
-@dataclass(frozen=True)
-class UnitarySample:
-    """Spectrum of one Haar-distributed unitary matrix."""
-
-    size: int
-    eigenvalues: tuple[complex, ...]
-    det_phase: complex
 
 
 @dataclass(frozen=True)
@@ -64,60 +58,10 @@ def _haar_batch(rng, count: int, big_n: int) -> np.ndarray:
     return np.linalg.eigvals(q)
 
 
-def sample_haar(big_n: int, seed: int) -> UnitarySample:
-    """One Haar-distributed spectrum, deterministic given the seed."""
-    if big_n < 1:
-        raise ValueError("N must be >= 1")
-    rng = np.random.default_rng(seed)
-    eigs = _haar_batch(rng, 1, big_n)[0]
-    return UnitarySample(
-        size=big_n,
-        eigenvalues=tuple(complex(v) for v in eigs),
-        det_phase=complex(np.prod(eigs)),
-    )
-
-
-# -- spectral functionals ------------------------------------------------------
-
-def char_poly(sample: UnitarySample, z: complex) -> complex:
-    """chi_g(z) = det(I - z g^{-1}) = prod (1 - z conj(rho))."""
-    out = 1.0 + 0j
-    for rho in sample.eigenvalues:
-        out *= 1 - z * rho.conjugate()
-    return out
-
-
-def log_deriv(sample: UnitarySample, z: complex) -> complex:
-    """chi'_g / chi_g at z; raises near poles."""
-    out = 0j
-    for rho in sample.eigenvalues:
-        denom = 1 - z * rho.conjugate()
-        if abs(z - rho) < POLE_EPS:
-            raise PoleProximityError(f"{z} within {POLE_EPS} of an eigenvalue")
-        out += -rho.conjugate() / denom
-    return out
-
-
-def completed_log_deriv(sample: UnitarySample, z: complex) -> complex:
-    """Lambda'_g / Lambda_g at z, where z Lambda'/Lambda = -N/2 + z chi'/chi."""
-    if z == 0:
-        raise ValueError("z must be non-zero")
-    if z.real < 0 and z.imag == 0:
-        raise ValueError("completed polynomial undefined on the negative reals")
-    if abs(sample.det_phase * (-1) ** sample.size + 1) < 1e-12:
-        raise PoleProximityError("det(-g) = -1; sample rejected")
-    return -sample.size / (2 * z) + log_deriv(sample, z)
-
-
-def inverse_sample(sample: UnitarySample) -> UnitarySample:
-    """Spectrum of g^{-1}."""
-    eigs = tuple(v.conjugate() for v in sample.eigenvalues)
-    return UnitarySample(sample.size, eigs, complex(np.prod(eigs)))
-
-
 # -- batched estimators ---------------------------------------------------------
 
 def _char_batch(eigs: np.ndarray, z: complex) -> np.ndarray:
+    """chi_g(z) = det(I - z g^{-1}) = prod (1 - z conj(rho)), one per spectrum."""
     return np.prod(1 - z * np.conj(eigs), axis=1)
 
 
@@ -247,22 +191,12 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
 
 
 def _monomial_batch_sum(expansion, eigs: np.ndarray) -> np.ndarray:
-    import itertools as it
-
-    big_n = eigs.shape[1]
-    out = np.zeros(eigs.shape[0], dtype=complex)
+    """sum_lam coeff_lam m_lam over each spectrum, for a monomial expansion."""
+    count, big_n = eigs.shape
+    columns = [eigs[:, j] for j in range(big_n)]
+    out = np.zeros(count, dtype=complex)
     for lam, coeff in expansion.items():
-        if len(lam) > big_n:
-            continue
-        exps = lam + (0,) * (big_n - len(lam))
-        acc = np.zeros(eigs.shape[0], dtype=complex)
-        for perm in set(it.permutations(exps)):
-            term = np.ones(eigs.shape[0], dtype=complex)
-            for j, e_ in enumerate(perm):
-                if e_:
-                    term = term * eigs[:, j] ** e_
-            acc += term
-        out += coeff * acc
+        out += coeff * monomial_on_arrays(lam, columns, count)
     return out
 
 
@@ -320,7 +254,7 @@ def mc_average(
         kept += n_good
         rejected += n_bad
     if kept < 2:
-        raise RuntimeError("all samples rejected")
+        raise PoleProximityError("all samples rejected")
     mean = total / kept
     var_re = max(0.0, (sq_re - kept * mean.real ** 2) / (kept - 1))
     var_im = max(0.0, (sq_im - kept * mean.imag ** 2) / (kept - 1))
@@ -346,15 +280,9 @@ def weyl_quadrature(
     """
     if big_n > 3:
         raise ValueError("Weyl quadrature oracle is restricted to N <= 3")
-    last = None
-    g = grid
-    for _ in range(max_refine):
-        value = _weyl_on_grid(functional, big_n, g)
-        if last is not None and abs(value - last) <= tol * max(1.0, abs(value)):
-            return value
-        last = value
-        g *= 2
-    raise RuntimeError(f"Weyl quadrature did not converge below {tol}")
+    return _refine_grid(
+        lambda g: _weyl_on_grid(functional, big_n, g), grid, tol, max_refine
+    )
 
 
 def _weyl_on_grid(functional, big_n: int, grid: int) -> complex:

@@ -2,16 +2,11 @@
 
 Both identities expand a (Littlewood-)Schur function over splits of its
 variable set, indexed by overlap data.  The right-hand sides here are
-evaluated through the determinantal route; verification suites compare them
-to direct evaluations over seeded random points.
+evaluated through the determinantal route; the seeded suites in ``verify``
+compare them to direct evaluations over random points.
 """
 
 from __future__ import annotations
-
-import itertools
-import json
-
-import numpy as np
 
 from .partitions import (
     canonical,
@@ -27,17 +22,9 @@ from .symfunc import (
     e_prod,
     inv,
     ls_det,
+    ordered_splits,
     schur_det,
 )
-
-
-def ordered_splits(values, left_size):
-    """All (S, T) with S of the given size, both preserving the input order."""
-    values = tuple(values)
-    idx = range(len(values))
-    for chosen in itertools.combinations(idx, left_size):
-        rest = tuple(i for i in idx if i not in chosen)
-        yield tuple(values[i] for i in chosen), tuple(values[i] for i in rest)
 
 
 def first_overlap_rhs(mu, nu, l: int, lam_tail, xs, ys) -> complex:
@@ -150,136 +137,3 @@ def complement_schur_check(lam, m: int, xs, tol: float = 1e-8) -> bool:
     lhs = schur_det(complement(lam, m, n), xs)
     rhs = schur_det(lam, inv(xs)) * e_prod(xs) ** m
     return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
-
-
-# -- seeded verification suites ----------------------------------------------
-
-def _random_annulus_points(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
-    out = []
-    taken = list(avoid)
-    while len(out) < count:
-        radius = rng.uniform(rmin, rmax)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        z = complex(radius * np.cos(angle), radius * np.sin(angle))
-        if all(abs(z - w) >= min_sep for w in taken):
-            out.append(z)
-            taken.append(z)
-    return tuple(out)
-
-
-def _random_partition(rng, max_size, max_len=None):
-    from .partitions import partitions_up_to
-
-    pool = list(partitions_up_to(max_size, max_len=max_len))
-    return pool[int(rng.integers(len(pool)))]
-
-
-def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
-    """Seeded random instances of the first overlap identity."""
-    rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
-    done = 0
-    while done < instances:
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(0, 4))
-        lam = _random_partition(rng, 10, max_len=n + m)
-        k = mn_index(lam, m, n)
-        if k < 0 or n - k < 0:
-            continue
-        l = int(rng.integers(0, min(n - k, n) + 1))
-        head = canonical(lam[: n - k])
-        tail = canonical(lam[n - k:])
-        fiber = overlap_fiber(head, l, n - k - l)
-        mu, nu, _ = fiber[int(rng.integers(len(fiber)))]
-        xs = _random_annulus_points(rng, n)
-        ys = _random_annulus_points(rng, m, avoid=xs)
-        lhs = ls_det(lam, xs, ys)
-        rhs = first_overlap_rhs(mu, nu, l, tail, xs, ys)
-        err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append(
-                {"lam": list(lam), "mu": list(mu), "nu": list(nu), "l": l, "err": err}
-            )
-        done += 1
-    return _report("first-overlap", seed, instances, max_err, tol, failures)
-
-
-def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
-    """Seeded random instances of the second overlap identity."""
-    rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
-    done = 0
-    while done < instances:
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(0, 4))
-        lam = _random_partition(rng, 10, max_len=n + m)
-        k = mn_index(lam, m, n)
-        if k < 0:
-            continue
-        l = int(rng.integers(0, min(n - k, n) + 1))
-        pts = _random_annulus_points(rng, n + m)
-        s_vars, t_vars, ys = pts[:l], pts[l:n], pts[n:]
-        lhs = ls_det(lam, s_vars + t_vars, ys)
-        rhs = second_overlap_rhs(lam, s_vars, t_vars, ys)
-        err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append({"lam": list(lam), "l": l, "m": m, "n": n, "err": err})
-        done += 1
-    return _report("second-overlap", seed, instances, max_err, tol, failures)
-
-
-def verify_subpartition_form(tol: float = 1e-10) -> dict:
-    """Subpartition-indexed Schur identity, exhaustive for m, n, l <= 2."""
-    from .partitions import c_seq, complement, conjugate, partitions_up_to, sub_partition
-
-    rng = np.random.default_rng(2024)
-    max_err, failures = 0.0, []
-    count = 0
-    for m, n, ell in itertools.product((1, 2), repeat=3):
-        pts = _random_annulus_points(rng, m + n)
-        s_vars, t_vars = pts[:m], pts[m:]
-        for kappa in partitions_up_to(min(6, (m + n) * ell), max_len=ell):
-            if kappa and kappa[0] > m + n:
-                continue
-            lhs = schur_det(conjugate(kappa), s_vars + t_vars)
-            total = 0j
-            for lam in partitions_up_to(m * (n + ell), max_len=n + ell):
-                if lam and lam[0] > m:
-                    continue
-                for K in itertools.combinations(range(1, n + ell + 1), ell):
-                    if sub_partition(lam, n + ell, K) != kappa:
-                        continue
-                    ck = c_seq(n + ell, K)
-                    lam_cmpl = complement(lam, m, n + ell)
-                    second = sub_partition(lam_cmpl, n + ell, ck)
-                    sign = (-1) ** sum(part(lam_cmpl, j) for j in ck)
-                    total += (
-                        sign
-                        * schur_det(conjugate(lam), s_vars)
-                        * schur_det(second, t_vars)
-                    )
-            rhs = total / delta2(s_vars, t_vars)
-            err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-            max_err = max(max_err, err)
-            count += 1
-            if err > tol:
-                failures.append({"kappa": list(kappa), "m": m, "n": n, "l": ell, "err": err})
-    return _report("subpartition-form", 2024, count, max_err, tol, failures)
-
-
-def _report(identity, seed, instances, max_err, tol, failures) -> dict:
-    return {
-        "identity": identity,
-        "seed": seed,
-        "instances": instances,
-        "max_rel_err": max_err,
-        "tolerance": tol,
-        "pass": not failures,
-        "failures": failures[:5],
-    }
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 
 Partition = tuple[int, ...]
@@ -32,10 +32,6 @@ def canonical(parts) -> Partition:
 
 def size(lam) -> int:
     return sum(lam)
-
-
-def length(lam) -> int:
-    return len(canonical(lam))
 
 
 def part(lam, j: int) -> int:
@@ -166,10 +162,6 @@ def is_horizontal_strip(lam, mu) -> bool:
     if not contains(lam, mu):
         return False
     return all(part(lam, j + 1) <= part(mu, j) for j in range(1, len(lam) + 1))
-
-
-def is_vertical_strip(lam, mu) -> bool:
-    return is_horizontal_strip(conjugate(lam), conjugate(mu))
 
 
 def skew_boxes(lam, mu) -> list[tuple[int, int]]:
@@ -423,12 +415,3 @@ def c_seq(n: int, K) -> tuple[int, ...]:
     """C_n(K): sorted (n - j + 1 for j outside K), a subsequence of [n]."""
     K = set(K)
     return tuple(sorted(n - j + 1 for j in range(1, n + 1) if j not in K))
-
-
-def ferrers_ascii(lam) -> str:
-    """ASCII Ferrers diagram, one row of # per part."""
-    return "\n".join("#" * p for p in canonical(lam))
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -8,7 +8,6 @@ certified geometric tail bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,9 @@ from .symfunc import (
     e_prod,
     inv,
     monomial_eval,
+    monomial_on_arrays,
     neg,
+    ordered_splits,
     powersum_r,
 )
 
@@ -62,6 +63,25 @@ class TruncationError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Raised when grid refinement fails to converge."""
+
+
+def _refine_grid(estimate, grid: int, tol: float, max_refine: int) -> complex:
+    """Double the grid, up to max_refine estimates, until two successive agree.
+
+    estimate maps a grid size to a value; agreement is relative to
+    max(1, |value|).
+    """
+    last = None
+    g = grid
+    for _ in range(max_refine):
+        value = estimate(g)
+        if last is not None and abs(value - last) <= tol * max(1.0, abs(value)):
+            return value
+        last = value
+        g *= 2
+    raise QuadratureError(
+        f"grid refinement did not converge below {tol} at {g // 2} points"
+    )
 
 
 def moment_unitary(k: int, big_n: int) -> Fraction:
@@ -108,18 +128,10 @@ def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
         if not pairwise_distinct(ab):
             raise ValueError("split_sum form needs pairwise distinct A cup B^{-1}")
         total = 0j
-        for s, t in _ordered_splits(ab, m):
+        for s, t in ordered_splits(ab, m):
             total += e_prod(s) ** (n + big_n) / delta2(s, t)
         return prefactor * total
     raise ValueError(f"unknown form {form!r}")
-
-
-def _ordered_splits(values, left_size):
-    values = tuple(values)
-    idx = range(len(values))
-    for chosen in itertools.combinations(idx, left_size):
-        rest = tuple(i for i in idx if i not in chosen)
-        yield tuple(values[i] for i in chosen), tuple(values[i] for i in rest)
 
 
 def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
@@ -145,7 +157,7 @@ def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
             cd /= 1 - gamma * delta_
     prefactor = e_prod(neg(b_vars)) ** big_n
     total = 0j
-    for s, t in _ordered_splits(ab, len(b_vars)):
+    for s, t in ordered_splits(ab, len(b_vars)):
         term = (
             e_prod(neg(s)) ** (big_n + len(a_vars) - len(d_vars))
             * delta2(d_vars, s)
@@ -338,7 +350,7 @@ def recipe_main(
     pk_c = [0j] + [powersum_r(k, c) for k in range(1, size_cap + part_cap + 1)]
     prefactor = e_prod(neg(b)) ** big_n
     total = 0j
-    for s_vars, t_vars in _ordered_splits(ab, len(b)):
+    for s_vars, t_vars in ordered_splits(ab, len(b)):
         weight = (
             e_prod(neg(s_vars)) ** (big_n + len(a) - len(d))
             * delta2(d, s_vars)
@@ -384,7 +396,7 @@ def _subset_splits(values):
     """All ordered (subset, complement) pairs of a tuple."""
     values = tuple(values)
     for r in range(len(values) + 1):
-        yield from _ordered_splits(values, r)
+        yield from ordered_splits(values, r)
 
 
 def _shift_down(lam):
@@ -488,16 +500,9 @@ def explicit_formula_rhs(
         raise ValueError("need 0 < r < 1")
     if n < 1 or n > 3:
         raise ValueError("n must be between 1 and 3")
-    last = None
-    g = grid
-    for _ in range(max_refine):
-        value = _explicit_rhs_on_grid(h, f, n, r, big_n, g, part_cap)
-        if last is not None and abs(value - last) <= tol * max(1.0, abs(value)):
-            return value
-        last = value
-        g *= 2
-    raise QuadratureError(
-        f"grid refinement did not converge below {tol} at {g // 2} points"
+    return _refine_grid(
+        lambda g: _explicit_rhs_on_grid(h, f, n, r, big_n, g, part_cap),
+        grid, tol, max_refine,
     )
 
 
@@ -519,30 +524,11 @@ def _explicit_rhs_on_grid(h, f, n, r, big_n, grid, part_cap) -> complex:
         for lam in partitions_up_to(
             lam_len_cap * part_cap, max_part=part_cap, max_len=lam_len_cap
         ):
-            m1 = _monomial_on_arrays(lam, inner_vals, grid ** n)
-            m2 = _monomial_on_arrays(lam, outer_inv, grid ** n)
+            m1 = monomial_on_arrays(lam, inner_vals, grid ** n)
+            m2 = monomial_on_arrays(lam, outer_inv, grid ** n)
             weight = (big_n / 2.0) ** (n - 2 * len(lam)) * _z_float(lam)
             total += weight * comb(n, k) * np.mean(base * m1 * m2)
     return complex(total)
-
-
-def _monomial_on_arrays(lam, arrays, npoints) -> np.ndarray:
-    """Vectorized monomial symmetric polynomial over parallel arrays."""
-    lam = canonical(lam)
-    nvars = len(arrays)
-    if len(lam) > nvars:
-        return np.zeros(npoints, dtype=complex)
-    if not lam:
-        return np.ones(npoints, dtype=complex)
-    exps = lam + (0,) * (nvars - len(lam))
-    out = np.zeros(npoints, dtype=complex)
-    for perm in set(itertools.permutations(exps)):
-        term = np.ones(npoints, dtype=complex)
-        for arr, e_ in zip(arrays, perm):
-            if e_:
-                term = term * arr ** e_
-        out += term
-    return out
 
 
 FUNCTION_CATALOG = {

@@ -90,12 +90,6 @@ class SchurExpansion(Expansion):
             (complex(c) * schur(lam, xs) for lam, c in self.terms.items()), 0j
         )
 
-    def conjugate_index(self) -> "SchurExpansion":
-        # image under the classical involution sending s_lam to s_{lam'}
-        from .partitions import conjugate
-
-        return SchurExpansion({conjugate(lam): c for lam, c in self.terms.items()})
-
 
 class PowerSumExpansion(Expansion):
     """Linear combination of power-sum monomials p_lambda."""

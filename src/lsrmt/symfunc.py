@@ -51,10 +51,6 @@ def pairwise_distinct(values, eps: float = DISTINCT_EPS) -> bool:
     )
 
 
-def abs_below(values, r: float) -> bool:
-    return all(abs(v) <= r for v in values)
-
-
 def delta(xs) -> complex:
     """Vandermonde product prod_{i<j} (x_i - x_j)."""
     xs = as_varset(xs)
@@ -93,6 +89,15 @@ def inv(xs) -> VarSet:
     return tuple(1 / x for x in xs)
 
 
+def ordered_splits(values, left_size):
+    """All (S, T) with S of the given size, both preserving the input order."""
+    values = tuple(values)
+    idx = range(len(values))
+    for chosen in itertools.combinations(idx, left_size):
+        rest = tuple(i for i in idx if i not in chosen)
+        yield tuple(values[i] for i in chosen), tuple(values[i] for i in rest)
+
+
 # -- classical bases ---------------------------------------------------------
 
 def monomial_eval(lam, xs) -> complex:
@@ -110,6 +115,25 @@ def monomial_eval(lam, xs) -> complex:
             term *= x ** e
         total += term
     return total
+
+
+def monomial_on_arrays(lam, arrays, npoints) -> np.ndarray:
+    """m_lambda over parallel variable arrays: one value per point."""
+    lam = canonical(lam)
+    nvars = len(arrays)
+    if len(lam) > nvars:
+        return np.zeros(npoints, dtype=complex)
+    if not lam:
+        return np.ones(npoints, dtype=complex)
+    exps = lam + (0,) * (nvars - len(lam))
+    out = np.zeros(npoints, dtype=complex)
+    for perm in set(itertools.permutations(exps)):
+        term = np.ones(npoints, dtype=complex)
+        for arr, e_ in zip(arrays, perm):
+            if e_:
+                term = term * arr ** e_
+        out += term
+    return out
 
 
 def powersum_r(r: int, xs) -> complex:
@@ -378,7 +402,6 @@ def lr_kostka(lam: Partition, mu: Partition) -> int:
     def count(shape: Partition, remaining: Partition) -> int:
         if not remaining:
             return 1 if not shape else 0
-        r = remaining[0]
         total = 0
         for prev in _horizontal_strip_predecessors(shape):
             if size(shape) - size(prev) == remaining[-1]:

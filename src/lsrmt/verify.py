@@ -1,25 +1,30 @@
-"""Named verification suites behind the CLI and the acceptance tests.
+"""Seeded verification suites behind the CLI and the tests.
 
 Every suite draws seeded random instances, checks an identity at a stated
 tolerance, and returns a report dict {identity, seed, instances, max_rel_err,
-pass, failures}.
+tolerance, pass, failures}.  The instance helpers (random points, random
+partitions, relative error) are shared with the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from .overlap_identities import (
-    verify_first_overlap,
-    verify_second_overlap,
-)
+from .overlap_identities import first_overlap_rhs, second_overlap_rhs
 from .partitions import (
+    c_seq,
     canonical,
+    complement,
     conjugate,
+    mn_index,
+    overlap_fiber,
+    part,
     partitions_up_to,
     ribbons_added,
+    sub_partition,
 )
 from .rmt import (
     RecipeInput,
@@ -45,11 +50,13 @@ from .symfunc import (
 )
 
 
-def _rel(a, b) -> float:
+def rel_err(a, b) -> float:
+    """|a - b| scaled by max(1, |a|, |b|)."""
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _points(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
+def random_points(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
+    """Complex points in an annulus, pairwise separated from each other and avoid."""
     out, taken = [], list(avoid)
     while len(out) < count:
         radius = rng.uniform(rmin, rmax)
@@ -61,7 +68,8 @@ def _points(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
     return tuple(out)
 
 
-def _partition(rng, max_size, max_len=None, max_part=None):
+def random_partition(rng, max_size, max_len=None, max_part=None):
+    """Uniform draw from the partitions of size <= max_size within the bounds."""
     pool = list(partitions_up_to(max_size, max_len=max_len, max_part=max_part))
     return pool[int(rng.integers(len(pool)))]
 
@@ -91,28 +99,28 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
 
     for _ in range(instances):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        lam = _partition(rng, 6)
-        xs = _points(rng, n)
-        ys = _points(rng, m, avoid=xs)
+        lam = random_partition(rng, 6)
+        xs = random_points(rng, n)
+        ys = random_points(rng, m, avoid=xs)
         base = ls_det(lam, xs, ys)
 
         # homogeneity: LS(-aX; aY) = a^{|lam|} LS(-X; Y)
         a = complex(*rng.uniform(0.5, 1.2, size=2))
         scaled = ls_det(lam, tuple(a * x for x in xs), tuple(a * y for y in ys))
-        record("homogeneity", _rel(scaled, a ** sum(lam) * base), {"lam": list(lam)})
+        record("homogeneity", rel_err(scaled, a ** sum(lam) * base), {"lam": list(lam)})
 
         # double symmetry under independent permutations
         perm_x = tuple(xs[i] for i in rng.permutation(n))
         perm_y = tuple(ys[i] for i in rng.permutation(m))
-        record("double-symmetry", _rel(ls_det(lam, perm_x, perm_y), base), {"lam": list(lam)})
+        record("double-symmetry", rel_err(ls_det(lam, perm_x, perm_y), base), {"lam": list(lam)})
 
         # restriction: appending zero changes nothing (combinatorial route)
         comb = ls_comb(lam, neg(xs), ys)
         record(
             "restriction",
             max(
-                _rel(ls_comb(lam, neg(xs) + (0j,), ys), comb),
-                _rel(ls_comb(lam, neg(xs), ys + (0j,)), comb),
+                rel_err(ls_comb(lam, neg(xs) + (0j,), ys), comb),
+                rel_err(ls_comb(lam, neg(xs), ys + (0j,)), comb),
             ),
             {"lam": list(lam)},
         )
@@ -121,13 +129,13 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         t = complex(*rng.uniform(0.4, 1.1, size=2))
         record(
             "cancellation",
-            _rel(ls_comb(lam, neg(xs) + (-t,), ys + (t,)), comb),
+            rel_err(ls_comb(lam, neg(xs) + (-t,), ys + (t,)), comb),
             {"lam": list(lam)},
         )
 
         # factorization at lam = (<m^n> + alpha) cup beta'
-        alpha = _partition(rng, 4, max_len=n)
-        beta = _partition(rng, 4, max_len=m)
+        alpha = random_partition(rng, 4, max_len=n)
+        beta = random_partition(rng, 4, max_len=m)
         lam_f = canonical(
             tuple(
                 p + m for p in (alpha + (0,) * (n - len(alpha)))
@@ -136,16 +144,101 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         )
         got = ls_det(lam_f, xs, ys)
         want = delta2(ys, xs) * schur_det(alpha, neg(xs)) * schur_det(beta, ys)
-        record("factorization", _rel(got, want), {"lam": list(lam_f)})
+        record("factorization", rel_err(got, want), {"lam": list(lam_f)})
     return _report("ls-properties", seed, instances, max_err, tol, failures)
 
 
-def verify_overlap_first(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
-    return verify_first_overlap(seed, instances, tol)
+def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
+    """Seeded random instances of the first overlap identity."""
+    rng = np.random.default_rng(seed)
+    max_err, failures = 0.0, []
+    done = 0
+    while done < instances:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 4))
+        lam = random_partition(rng, 10, max_len=n + m)
+        k = mn_index(lam, m, n)
+        if k < 0 or n - k < 0:
+            continue
+        l = int(rng.integers(0, min(n - k, n) + 1))
+        head = canonical(lam[: n - k])
+        tail = canonical(lam[n - k:])
+        fiber = overlap_fiber(head, l, n - k - l)
+        mu, nu, _ = fiber[int(rng.integers(len(fiber)))]
+        xs = random_points(rng, n)
+        ys = random_points(rng, m, avoid=xs)
+        lhs = ls_det(lam, xs, ys)
+        rhs = first_overlap_rhs(mu, nu, l, tail, xs, ys)
+        err = rel_err(lhs, rhs)
+        max_err = max(max_err, err)
+        if err > tol:
+            failures.append(
+                {"lam": list(lam), "mu": list(mu), "nu": list(nu), "l": l, "err": err}
+            )
+        done += 1
+    return _report("first-overlap", seed, instances, max_err, tol, failures)
 
 
-def verify_overlap_second(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
-    return verify_second_overlap(seed, instances, tol)
+def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
+    """Seeded random instances of the second overlap identity."""
+    rng = np.random.default_rng(seed)
+    max_err, failures = 0.0, []
+    done = 0
+    while done < instances:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 4))
+        lam = random_partition(rng, 10, max_len=n + m)
+        k = mn_index(lam, m, n)
+        if k < 0:
+            continue
+        l = int(rng.integers(0, min(n - k, n) + 1))
+        pts = random_points(rng, n + m)
+        s_vars, t_vars, ys = pts[:l], pts[l:n], pts[n:]
+        lhs = ls_det(lam, s_vars + t_vars, ys)
+        rhs = second_overlap_rhs(lam, s_vars, t_vars, ys)
+        err = rel_err(lhs, rhs)
+        max_err = max(max_err, err)
+        if err > tol:
+            failures.append({"lam": list(lam), "l": l, "m": m, "n": n, "err": err})
+        done += 1
+    return _report("second-overlap", seed, instances, max_err, tol, failures)
+
+
+def verify_subpartition_form(tol: float = 1e-10) -> dict:
+    """Subpartition-indexed Schur identity, exhaustive for m, n, l <= 2."""
+    rng = np.random.default_rng(2024)
+    max_err, failures = 0.0, []
+    count = 0
+    for m, n, ell in itertools.product((1, 2), repeat=3):
+        pts = random_points(rng, m + n)
+        s_vars, t_vars = pts[:m], pts[m:]
+        for kappa in partitions_up_to(min(6, (m + n) * ell), max_len=ell):
+            if kappa and kappa[0] > m + n:
+                continue
+            lhs = schur_det(conjugate(kappa), s_vars + t_vars)
+            total = 0j
+            for lam in partitions_up_to(m * (n + ell), max_len=n + ell):
+                if lam and lam[0] > m:
+                    continue
+                for K in itertools.combinations(range(1, n + ell + 1), ell):
+                    if sub_partition(lam, n + ell, K) != kappa:
+                        continue
+                    ck = c_seq(n + ell, K)
+                    lam_cmpl = complement(lam, m, n + ell)
+                    second = sub_partition(lam_cmpl, n + ell, ck)
+                    sign = (-1) ** sum(part(lam_cmpl, j) for j in ck)
+                    total += (
+                        sign
+                        * schur_det(conjugate(lam), s_vars)
+                        * schur_det(second, t_vars)
+                    )
+            rhs = total / delta2(s_vars, t_vars)
+            err = rel_err(lhs, rhs)
+            max_err = max(max_err, err)
+            count += 1
+            if err > tol:
+                failures.append({"kappa": list(kappa), "m": m, "n": n, "l": ell, "err": err})
+    return _report("subpartition-form", 2024, count, max_err, tol, failures)
 
 
 def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
@@ -157,7 +250,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
         out = SchurExpansion()
         for _ in range(int(rng.integers(1, 4))):
             out.add_term(
-                _partition(rng, 6),
+                random_partition(rng, 6),
                 Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))),
             )
         return out
@@ -174,10 +267,10 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
     for _ in range(instances):
         n = int(rng.integers(1, 4))
         min_part = int(rng.integers(1, 4))
-        body = _partition(rng, 5, max_len=n)
+        body = random_partition(rng, 5, max_len=n)
         mu = canonical(tuple(p + min_part for p in (body + (0,) * (n - len(body)))))
         k = int(rng.integers(1, mu[-1] + 1))
-        xs = _points(rng, n)
+        xs = random_points(rng, n)
         try:
             mn_negative(mu, k, xs, tol=tol)
         except AssertionError:
@@ -186,26 +279,26 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
     # composite operator route for p_{-lambda}
     for _ in range(max(instances // 10, 5)):
         n = int(rng.integers(1, 3))
-        lam = _partition(rng, 3)
+        lam = random_partition(rng, 3)
         if not lam:
             continue
-        body = _partition(rng, 4, max_len=n)
+        body = random_partition(rng, 4, max_len=n)
         floor = sum(lam) + int(rng.integers(0, 3))
         mu = canonical(tuple(p + floor for p in (body + (0,) * (n - len(body)))))
-        xs = _points(rng, n)
+        xs = random_points(rng, n)
         op = SchurExpansion({mu: 1})
         for p in lam:
             op = mn_derive(p, op)
         lhs = op.evaluate(xs, schur=schur_comb)
         rhs = schur_comb(mu, xs) * basis_eval("powersum_neg", lam, xs)
-        err = _rel(lhs, rhs)
+        err = rel_err(lhs, rhs)
         max_err = max(max_err, err)
         if err > tol:
             failures.append({"check": "mn-negative-lambda", "mu": list(mu), "lam": list(lam), "err": err})
 
     # MN for Littlewood-Schur, |mu| <= 6, k <= 4
-    xs = _points(rng, 2)
-    ys = _points(rng, 2, avoid=xs)
+    xs = random_points(rng, 2)
+    ys = random_points(rng, 2, avoid=xs)
     for mu in partitions_up_to(6):
         for k in range(1, 5):
             factor = basis_eval("powersum", (k,), xs) + (-1) ** (k - 1) * basis_eval(
@@ -216,7 +309,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
                 (-1) ** s.height * ls_comb(s.end, xs, ys)
                 for s in ribbons_added(mu, k)
             )
-            err = _rel(lhs, rhs)
+            err = rel_err(lhs, rhs)
             max_err = max(max_err, err)
             if err > tol:
                 failures.append({"check": "mn-for-ls", "mu": list(mu), "k": k, "err": err})
@@ -231,8 +324,8 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
     # Cauchy identity: values scaled so |xy| <= 0.5, truncation at L = 40
     for _ in range(instances):
         n, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        xs = _points(rng, n, rmin=0.3, rmax=0.7)
-        ys = _points(rng, m, rmin=0.3, rmax=0.7, avoid=xs)
+        xs = random_points(rng, n, rmin=0.3, rmax=0.7)
+        ys = random_points(rng, m, rmin=0.3, rmax=0.7, avoid=xs)
         closed = 1.0 + 0j
         for x in xs:
             for y in ys:
@@ -248,8 +341,8 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
     # dual Cauchy: finite, exact to 1e-10
     for _ in range(instances):
         n, m = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        xs = _points(rng, n)
-        ys = _points(rng, m, avoid=xs)
+        xs = random_points(rng, n)
+        ys = random_points(rng, m, avoid=xs)
         closed = 1.0 + 0j
         for x in xs:
             for y in ys:
@@ -258,7 +351,7 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
             schur_det(lam, xs) * schur_det(conjugate(lam), ys)
             for lam in partitions_up_to(m * n, max_part=m, max_len=n)
         )
-        err = _rel(total, closed)
+        err = rel_err(total, closed)
         max_err = max(max_err, err)
         if err > 1e-10:
             failures.append({"check": "dual-cauchy", "err": err})
@@ -293,14 +386,14 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
     max_err, failures = 0.0, []
 
     # E = F = {}: ratios
-    a = _points(rng, 1, rmin=0.8, rmax=1.2)
-    b = _points(rng, 1, rmin=0.8, rmax=1.2, avoid=a)
-    c = _points(rng, 1, rmin=0.2, rmax=0.45)
-    d = _points(rng, 1, rmin=0.2, rmax=0.45, avoid=c)
+    a = random_points(rng, 1, rmin=0.8, rmax=1.2)
+    b = random_points(rng, 1, rmin=0.8, rmax=1.2, avoid=a)
+    c = random_points(rng, 1, rmin=0.2, rmax=0.45)
+    d = random_points(rng, 1, rmin=0.2, rmax=0.45, avoid=c)
     big_n = 10
     got = recipe_main(RecipeInput(a, b, c, d, (), (), big_n), part_cap=30, size_cap=30)
     want = ratio_avg(a, b, c, d, big_n)
-    err = _rel(got, want)
+    err = rel_err(got, want)
     max_err = max(max_err, err)
     if err > tol:
         failures.append({"check": "recipe-to-ratios", "err": err})
@@ -312,7 +405,7 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
         RecipeInput((), (), (), (), (eps,), (phi,), 14), part_cap=40, size_cap=20
     )
     want = logders_main((eps,), (phi,))
-    err = _rel(got, want)
+    err = rel_err(got, want)
     max_err = max(max_err, err)
     if err > tol:
         failures.append({"check": "recipe-to-logders", "err": err})
@@ -324,7 +417,7 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
         RecipeInput((), bb, cc, (), (eps,), (), 30), part_cap=40, size_cap=20
     )
     want = _logders_ratio_main_single(bb, cc, eps)
-    err = _rel(got, want)
+    err = rel_err(got, want)
     max_err = max(max_err, err)
     if err > tol:
         failures.append({"check": "recipe-to-logders-ratio", "err": err})
@@ -345,8 +438,8 @@ def _logders_ratio_main_single(b_vars, c_vars, eps, cap: int = 60) -> complex:
 
 SUITES = {
     "ls-properties": verify_ls_properties,
-    "overlap-1": verify_overlap_first,
-    "overlap-2": verify_overlap_second,
+    "overlap-1": verify_first_overlap,
+    "overlap-2": verify_second_overlap,
     "mn-all": verify_mn_all,
     "cauchy": verify_cauchy,
     "recipe-consistency": verify_recipe_consistency,

@@ -14,13 +14,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from lsrmt.haar import make_estimator, mc_average, weyl_quadrature
-from lsrmt.overlap_identities import ordered_splits
 from lsrmt.partitions import (
-    binomial,
     conjugate,
     mn_index,
     overlap,
@@ -43,9 +42,9 @@ from lsrmt.symfunc import (
     ls_comb,
     ls_det,
     neg,
+    ordered_splits,
     schur_comb,
     schur_det,
-    schur_in_monomials,
 )
 from lsrmt.verify import (
     run_suite,
@@ -136,7 +135,7 @@ def test_c4_overlap_suites():
                 pool = list(partitions_up_to(6, max_len=max(total, 1)))
                 lam = pool[int(rng.integers(len(pool)))] if total else ()
                 fiber = overlap_fiber(lam, m, n)
-                card_ok &= len(fiber) == binomial(m + n, m)
+                card_ok &= len(fiber) == comb(m + n, m)
                 for mu, nu, sign in fiber:
                     out = overlap(mu, nu, m, n)
                     card_ok &= out.finite and out.result == lam and out.sign == sign
@@ -272,21 +271,12 @@ def test_c8_explicit_formula():
 
 
 def test_c9_weyl_schur_orthogonality():
-    from lsrmt.haar import _monomial_batch_sum
-
     worst = 0.0
     for big_n in (1, 2, 3):
         lams = list(partitions_up_to(3))
         for mu, nu in itertools.product(lams, repeat=2):
-            mu_exp = schur_in_monomials(mu, big_n)
-            nu_exp = schur_in_monomials(nu, big_n)
-
-            def functional(e):
-                return _monomial_batch_sum(mu_exp, e) * np.conj(
-                    _monomial_batch_sum(nu_exp, e)
-                )
-
-            val = weyl_quadrature(functional, big_n, grid=24, tol=1e-9)
+            est = make_estimator("schur_pair", big_n, mu=mu, nu=nu)
+            val = weyl_quadrature(est, big_n, grid=24, tol=1e-9)
             want = 1.0 if (mu == nu and len(mu) <= big_n) else 0.0
             worst = max(worst, abs(val - want))
     conclude("C9 weyl-orthogonality", worst < 1e-6, f"max_abs_err={worst:.2e}")

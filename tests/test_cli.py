@@ -164,3 +164,24 @@ def test_csv_and_text_outputs(capsys):
     )
     assert code == 0
     assert "result" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "logders-main", "--e", "0.999", "--f", "0.999"],
+        [
+            "compute", "explicit-rhs", "--h", "rational:1.0001", "--n", "1",
+            "--N", "8", "--r", "0.9999", "--grid", "4",
+        ],
+    ],
+    ids=["truncation", "quadrature"],
+)
+def test_numeric_failure_exits_2_with_json_error(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"schema", "error"}
+    assert captured.err == ""

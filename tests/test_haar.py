@@ -4,71 +4,69 @@ import pytest
 from lsrmt.haar import (
     MCEstimate,
     PoleProximityError,
-    char_poly,
-    completed_log_deriv,
-    inverse_sample,
-    log_deriv,
+    _char_batch,
+    _haar_batch,
+    _logder_batch,
+    _logder_inv_batch,
     make_estimator,
     mc_average,
-    sample_haar,
     weyl_quadrature,
 )
 from lsrmt.partitions import partitions_up_to
-from lsrmt.rmt import moment_unitary
-from lsrmt.symfunc import schur_in_monomials
+from lsrmt.rmt import QuadratureError, moment_unitary
 from util import rel_err
 
 
 def test_sample_haar_unit_modulus_and_det():
-    s = sample_haar(6, seed=42)
-    assert len(s.eigenvalues) == 6
-    for rho in s.eigenvalues:
-        assert abs(abs(rho) - 1) < 1e-10
-    prod = 1
-    for rho in s.eigenvalues:
-        prod *= rho
-    assert abs(s.det_phase - prod) < 1e-10
-    assert abs(abs(s.det_phase) - 1) < 1e-10
+    eigs = _haar_batch(np.random.default_rng(42), 8, 6)
+    assert eigs.shape == (8, 6)
+    assert np.all(np.abs(np.abs(eigs) - 1) < 1e-10)
+    assert np.all(np.abs(np.abs(np.prod(eigs, axis=1)) - 1) < 1e-10)
 
 
 def test_sample_haar_deterministic():
-    a = sample_haar(4, seed=7)
-    b = sample_haar(4, seed=7)
-    assert a == b
+    a = _haar_batch(np.random.default_rng(7), 3, 4)
+    b = _haar_batch(np.random.default_rng(7), 3, 4)
+    assert np.array_equal(a, b)
 
 
 def test_char_poly_at_zero():
-    s = sample_haar(5, seed=1)
-    assert char_poly(s, 0) == pytest.approx(1)
+    eigs = _haar_batch(np.random.default_rng(1), 4, 5)
+    assert _char_batch(eigs, 0) == pytest.approx(np.ones(4))
 
 
 def test_log_deriv_series_identity():
     # chi'/chi(eps) = -sum_m eps^{m-1} conj(p_m) for |eps| < 1
-    s = sample_haar(6, seed=3)
+    eigs = _haar_batch(np.random.default_rng(3), 4, 6)
     eps = 0.3 + 0.05j
-    direct = log_deriv(s, eps)
-    series = 0j
+    direct = _logder_batch(eigs, eps)
+    series = np.zeros(4, dtype=complex)
     for m in range(1, 200):
-        pm = sum(rho ** m for rho in s.eigenvalues)
-        series += -(eps ** (m - 1)) * pm.conjugate()
-    assert abs(direct - series) < 1e-10
+        pm = np.sum(eigs ** m, axis=1)
+        series += -(eps ** (m - 1)) * np.conj(pm)
+    assert np.max(np.abs(direct - series)) < 1e-10
 
 
 def test_log_deriv_pole_guard():
-    s = sample_haar(4, seed=9)
-    z = s.eigenvalues[0]
-    with pytest.raises(PoleProximityError):
-        log_deriv(s, z)
+    # a point on an eigenvalue marks that sample NaN, leaving the others finite
+    eigs = _haar_batch(np.random.default_rng(9), 3, 4)
+    for vals in (
+        _logder_batch(eigs, eigs[0, 0]),
+        _logder_inv_batch(eigs, np.conj(eigs[0, 0])),
+    ):
+        assert np.isnan(vals[0].real) and np.isnan(vals[0].imag)
+        assert np.all(np.isfinite(vals[1:]))
 
 
 def test_functional_equation():
-    # z Lambda'/Lambda(z) = -w Lambda'/Lambda(w) for g^{-1}, w = 1/z
-    s = sample_haar(7, seed=11)
+    # -N/2 + z chi'/chi(z) = -(-N/2 + w chi'/chi(w) for g^{-1}), w = 1/z
+    big_n = 7
+    eigs = _haar_batch(np.random.default_rng(11), 4, big_n)
     for z in (0.4 + 0.2j, 1.7 - 0.3j, 0.9j):
-        lhs = z * completed_log_deriv(s, z)
         w = 1 / z
-        rhs = -w * completed_log_deriv(inverse_sample(s), w)
-        assert abs(lhs - rhs) < 1e-9 * max(1, abs(lhs))
+        lhs = -big_n / 2 + z * _logder_batch(eigs, z)
+        rhs = -(-big_n / 2 + w * _logder_inv_batch(eigs, w))
+        assert np.all(np.abs(lhs - rhs) < 1e-9 * np.maximum(1, np.abs(lhs)))
 
 
 def test_mc_average_constant():
@@ -81,6 +79,14 @@ def test_mc_average_constant():
 def test_mc_average_rejects_small_m():
     with pytest.raises(ValueError):
         mc_average("one", big_n=2, samples=10, seed=0)
+
+
+def test_mc_average_all_rejected_raises_pole_error():
+    def all_nan(e):
+        return np.full(e.shape[0], np.nan + 1j * np.nan)
+
+    with pytest.raises(PoleProximityError, match="all samples rejected"):
+        mc_average(all_nan, big_n=2, samples=100, seed=0)
 
 
 def test_mc_average_deterministic_across_workers():
@@ -138,21 +144,18 @@ def test_weyl_constant_and_moment():
     assert rel_err(val, complex(moment_unitary(1, 2))) < 1e-8
 
 
-def test_weyl_schur_orthogonality_small():
-    from lsrmt.haar import _monomial_batch_sum
+def test_weyl_quadrature_unconverged_raises():
+    # one estimate leaves nothing to compare against
+    with pytest.raises(QuadratureError):
+        weyl_quadrature(lambda e: np.ones(e.shape[0]), 1, grid=8, max_refine=1)
 
+
+def test_weyl_schur_orthogonality_small():
     big_n = 2
     for mu in partitions_up_to(2):
         for nu in partitions_up_to(2):
-            mu_exp = schur_in_monomials(mu, big_n)
-            nu_exp = schur_in_monomials(nu, big_n)
-
-            def functional(e):
-                return _monomial_batch_sum(mu_exp, e) * np.conj(
-                    _monomial_batch_sum(nu_exp, e)
-                )
-
-            val = weyl_quadrature(functional, big_n, grid=16)
+            est = make_estimator("schur_pair", big_n, mu=mu, nu=nu)
+            val = weyl_quadrature(est, big_n, grid=16)
             want = 1.0 if (mu == nu and len(mu) <= big_n) else 0.0
             assert abs(val - want) < 1e-6, (mu, nu)
 

@@ -4,11 +4,7 @@ from lsrmt.overlap_identities import (
     complement_schur_check,
     first_overlap_assembled,
     first_overlap_rhs,
-    ordered_splits,
     second_overlap_rhs,
-    verify_first_overlap,
-    verify_second_overlap,
-    verify_subpartition_form,
 )
 from lsrmt.partitions import (
     canonical,
@@ -26,7 +22,13 @@ from lsrmt.symfunc import (
     inv,
     ls_det,
     neg,
+    ordered_splits,
     schur_det,
+)
+from lsrmt.verify import (
+    verify_first_overlap,
+    verify_second_overlap,
+    verify_subpartition_form,
 )
 from util import random_points, random_partition, rel_err
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from lsrmt.partitions import (
     add,
-    binomial,
     c_seq,
     canonical,
     complement,
@@ -209,7 +210,7 @@ def test_overlap_fiber_roundtrip(m, n):
     for _ in range(5):
         lam = random_partition(rng, 8, max_len=m + n)
         fiber = overlap_fiber(lam, m, n)
-        assert len(fiber) == binomial(m + n, m)
+        assert len(fiber) == comb(m + n, m)
         for mu, nu, sign in fiber:
             out = overlap(mu, nu, m, n)
             assert out.finite and out.result == lam and out.sign == sign

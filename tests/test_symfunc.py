@@ -304,10 +304,3 @@ def test_schur_in_monomials():
     xs = random_points(rng, 3)
     val = sum(k * monomial_eval(mu, xs) for mu, k in out.items())
     assert rel_err(val, schur_det((2, 1), xs)) < 1e-9
-
-
-def test_varset_predicates():
-    from lsrmt.symfunc import abs_below
-
-    assert abs_below((0.5, -0.3j), 0.6)
-    assert not abs_below((1.2,), 1.0)

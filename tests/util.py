@@ -1,33 +1,9 @@
-"""Shared helpers for seeded random instances."""
+"""Shared test helpers: the seeded-instance helpers and a brute-force ribbon oracle."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from lsrmt.partitions import canonical, partitions_up_to
-
-
-def rel_err(a: complex, b: complex) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def random_points(rng, count, rmin=0.3, rmax=1.5, avoid=(), min_sep=1e-3):
-    """Complex points in an annulus, pairwise separated from each other and avoid."""
-    out = []
-    taken = list(avoid)
-    while len(out) < count:
-        r = rng.uniform(rmin, rmax)
-        theta = rng.uniform(0, 2 * np.pi)
-        z = complex(r * np.cos(theta), r * np.sin(theta))
-        if all(abs(z - w) >= min_sep for w in taken):
-            out.append(z)
-            taken.append(z)
-    return tuple(out)
-
-
-def random_partition(rng, max_size, max_len=None, max_part=None):
-    pool = list(partitions_up_to(max_size, max_part=max_part, max_len=max_len))
-    return canonical(pool[rng.integers(len(pool))])
+from lsrmt.partitions import canonical
+from lsrmt.verify import random_partition, random_points, rel_err  # noqa: F401
 
 
 def brute_force_ribbons_added(mu, k, max_len=None):
