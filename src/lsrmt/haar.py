@@ -281,7 +281,7 @@ def weyl_quadrature(
     if big_n > 3:
         raise ValueError("Weyl quadrature oracle is restricted to N <= 3")
     return _refine_grid(
-        lambda g: _weyl_on_grid(functional, big_n, g), grid, tol, max_refine
+        lambda g: _weyl_on_grid(functional, big_n, g), grid, big_n, tol, max_refine
     )
 
 

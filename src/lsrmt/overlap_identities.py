@@ -19,11 +19,8 @@ from .symfunc import (
     as_varset,
     delta,
     delta2,
-    e_prod,
-    inv,
     ls_det,
     ordered_splits,
-    schur_det,
 )
 
 
@@ -126,14 +123,3 @@ def second_overlap_rhs(lam, s_vars, t_vars, ys) -> complex:
                 )
     return total
 
-
-def complement_schur_check(lam, m: int, xs, tol: float = 1e-8) -> bool:
-    """s_{complement(lam)}(X) = s_lam(X^{-1}) e(X)^m, within tolerance."""
-    from .partitions import complement
-
-    lam = canonical(lam)
-    xs = as_varset(xs)
-    n = len(xs)
-    lhs = schur_det(complement(lam, m, n), xs)
-    rhs = schur_det(lam, inv(xs)) * e_prod(xs) ** m
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))

@@ -35,6 +35,7 @@ from .symfunc import (
 
 PART_CAP = 60
 RECIPE_SIZE_CAP = 24
+MAX_GRID_POINTS = 1 << 20
 
 
 @lru_cache(maxsize=1 << 16)
@@ -65,15 +66,18 @@ class QuadratureError(RuntimeError):
     """Raised when grid refinement fails to converge."""
 
 
-def _refine_grid(estimate, grid: int, tol: float, max_refine: int) -> complex:
+def _refine_grid(estimate, grid: int, dim: int, tol: float, max_refine: int) -> complex:
     """Double the grid, up to max_refine estimates, until two successive agree.
 
-    estimate maps a grid size to a value; agreement is relative to
-    max(1, |value|).
+    estimate maps a grid size to a value on a mesh of grid ** dim points;
+    agreement is relative to max(1, |value|).  A mesh above MAX_GRID_POINTS
+    raises before it is built.
     """
     last = None
     g = grid
     for _ in range(max_refine):
+        if g ** dim > MAX_GRID_POINTS:
+            raise QuadratureError(f"mesh of {g}**{dim} points exceeds {MAX_GRID_POINTS}")
         value = estimate(g)
         if last is not None and abs(value - last) <= tol * max(1.0, abs(value)):
             return value
@@ -502,7 +506,7 @@ def explicit_formula_rhs(
         raise ValueError("n must be between 1 and 3")
     return _refine_grid(
         lambda g: _explicit_rhs_on_grid(h, f, n, r, big_n, g, part_cap),
-        grid, tol, max_refine,
+        grid, n, tol, max_refine,
     )
 
 

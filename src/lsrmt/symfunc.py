@@ -100,40 +100,49 @@ def ordered_splits(values, left_size):
 
 # -- classical bases ---------------------------------------------------------
 
-def monomial_eval(lam, xs) -> complex:
-    """m_lambda(X): sum over distinct permutations of the padded exponents."""
+def _monomial(lam, values, zero):
+    """m_lambda(values) by dynamic programming over the variables.
+
+    The state is the partition of the parts of lambda not yet given to a
+    variable.  Each variable takes one distinct remaining part, or exponent 0
+    while enough variables remain for the rest: O(n * prod(m_i + 1) *
+    #distinct parts) operations for part multiplicities m_i.  Only ``*``,
+    ``**`` and ``+`` touch the values, so Python complex scalars and numpy
+    arrays both work; zero is the additive identity of the result.
+    """
     lam = canonical(lam)
-    xs = as_varset(xs)
-    n = len(xs)
-    if len(lam) > n:
-        return 0j
-    exps = lam + (0,) * (n - len(lam))
-    total = 0j
-    for perm in set(itertools.permutations(exps)):
-        term = 1.0 + 0j
-        for x, e in zip(xs, perm):
-            term *= x ** e
-        total += term
-    return total
+    nvars = len(values)
+    if len(lam) > nvars:
+        return zero
+    states = {lam: zero + 1}
+    for left, x in zip(range(nvars - 1, -1, -1), values):
+        # states share values, so sums build new objects, never update in place;
+        # popping each state frees its value once spread (mesh-sized arrays)
+        nxt = {}
+        for rest in list(states):
+            val = states.pop(rest)
+            if len(rest) <= left:
+                prev = nxt.get(rest)
+                nxt[rest] = val if prev is None else prev + val
+            for j, p in enumerate(rest):
+                if j and rest[j - 1] == p:
+                    continue
+                key = rest[:j] + rest[j + 1:]
+                term = val * x ** p
+                prev = nxt.get(key)
+                nxt[key] = term if prev is None else prev + term
+        states = nxt
+    return zero + states[()]
+
+
+def monomial_eval(lam, xs) -> complex:
+    """m_lambda(X), the sum of the distinct monomials x^alpha, alpha ~ lambda."""
+    return _monomial(lam, as_varset(xs), 0j)
 
 
 def monomial_on_arrays(lam, arrays, npoints) -> np.ndarray:
     """m_lambda over parallel variable arrays: one value per point."""
-    lam = canonical(lam)
-    nvars = len(arrays)
-    if len(lam) > nvars:
-        return np.zeros(npoints, dtype=complex)
-    if not lam:
-        return np.ones(npoints, dtype=complex)
-    exps = lam + (0,) * (nvars - len(lam))
-    out = np.zeros(npoints, dtype=complex)
-    for perm in set(itertools.permutations(exps)):
-        term = np.ones(npoints, dtype=complex)
-        for arr, e_ in zip(arrays, perm):
-            if e_:
-                term = term * arr ** e_
-        out += term
-    return out
+    return _monomial(lam, arrays, np.zeros(npoints, dtype=complex))
 
 
 def powersum_r(r: int, xs) -> complex:

@@ -174,8 +174,12 @@ def test_csv_and_text_outputs(capsys):
             "compute", "explicit-rhs", "--h", "rational:1.0001", "--n", "1",
             "--N", "8", "--r", "0.9999", "--grid", "4",
         ],
+        [
+            "compute", "explicit-rhs", "--h", "rational:2", "--f-key", "sum",
+            "--n", "3", "--r", "0.6", "--N", "8", "--grid", "16",
+        ],
     ],
-    ids=["truncation", "quadrature"],
+    ids=["truncation", "quadrature", "quadrature-mesh-cap"],
 )
 def test_numeric_failure_exits_2_with_json_error(args, capsys):
     code = main(args)

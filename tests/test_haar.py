@@ -13,7 +13,8 @@ from lsrmt.haar import (
     weyl_quadrature,
 )
 from lsrmt.partitions import partitions_up_to
-from lsrmt.rmt import QuadratureError, moment_unitary
+from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, moment_unitary
+from lsrmt.symfunc import schur_comb
 from util import rel_err
 
 
@@ -150,6 +151,16 @@ def test_weyl_quadrature_unconverged_raises():
         weyl_quadrature(lambda e: np.ones(e.shape[0]), 1, grid=8, max_refine=1)
 
 
+def test_weyl_quadrature_mesh_cap_raises_before_building():
+    assert 128 ** 3 > MAX_GRID_POINTS
+
+    def functional(e):
+        raise AssertionError("no mesh may be built")
+
+    with pytest.raises(QuadratureError):
+        weyl_quadrature(functional, 3, grid=128)
+
+
 def test_weyl_schur_orthogonality_small():
     big_n = 2
     for mu in partitions_up_to(2):
@@ -164,6 +175,16 @@ def test_schur_pair_estimator_matches_weyl():
     est = make_estimator("schur_pair", big_n=2, mu=(1,), nu=(1,))
     out = mc_average(est, big_n=2, samples=20000, seed=33)
     assert abs(out.mean - 1) < 4 * out.stderr
+
+
+def test_schur_pair_matches_branching_rule_at_n20():
+    # Kostka expansion over 20 variables: the factorial loop could not run it
+    mu, nu = (3, 1), (2, 1, 1)
+    eigs = _haar_batch(np.random.default_rng(19), 64, 20)
+    got = make_estimator("schur_pair", 20, mu=mu, nu=nu)(eigs)
+    for value, row in zip(got, eigs):
+        want = schur_comb(mu, tuple(row)) * np.conj(schur_comb(nu, tuple(row)))
+        assert abs(value - want) <= 1e-10 * max(abs(value), abs(want))
 
 
 def test_mc_estimate_json():

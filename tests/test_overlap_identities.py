@@ -1,13 +1,13 @@
 import numpy as np
 
 from lsrmt.overlap_identities import (
-    complement_schur_check,
     first_overlap_assembled,
     first_overlap_rhs,
     second_overlap_rhs,
 )
 from lsrmt.partitions import (
     canonical,
+    complement,
     conjugate,
     mn_index,
     overlap,
@@ -208,9 +208,12 @@ def test_dual_cauchy_from_empty_overlap():
 def test_complement_schur_check_cases():
     rng = np.random.default_rng(9)
     xs = random_points(rng, 2)
-    assert complement_schur_check((), 3, xs)
-    assert complement_schur_check(rectangle(3, 2), 3, xs)
-    assert complement_schur_check((2, 1), 3, xs)
+    n, m = len(xs), 3
+    for lam in [(), rectangle(3, 2), (2, 1)]:
+        # s_{complement(lam)}(X) = s_lam(X^{-1}) e(X)^m
+        lhs = schur_det(complement(lam, m, n), xs)
+        rhs = schur_det(lam, inv(xs)) * e_prod(xs) ** m
+        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs)), lam
 
 
 def test_subpartition_indexed_form():

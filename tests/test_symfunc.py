@@ -1,4 +1,7 @@
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,10 @@ from lsrmt.symfunc import (
     ls_comb,
     ls_det,
     monomial_eval,
+    monomial_on_arrays,
     neg,
     pairwise_distinct,
+    powersum_r,
     schur_comb,
     schur_det,
     schur_in_monomials,
@@ -61,6 +66,54 @@ def test_elementary_is_monomial_of_column():
         assert rel_err(
             elementary_r(r, xs), monomial_eval((1,) * r, xs)
         ) < 1e-10
+
+
+def test_monomial_at_fourteen_variables():
+    # n! terms at n = 14: only a polynomial-time kernel finishes
+    rng = np.random.default_rng(16)
+    xs = random_points(rng, 14)
+    for r in range(1, 5):
+        assert rel_err(monomial_eval((1,) * r, xs), elementary_r(r, xs)) < 1e-10
+        assert rel_err(monomial_eval((r,), xs), powersum_r(r, xs)) < 1e-10
+
+
+def test_kostka_expansion_matches_schur_det_at_twelve_variables():
+    rng = np.random.default_rng(17)
+    xs = random_points(rng, 12)
+    for lam in [(2, 1), (3, 1, 1), (2, 2)]:
+        val = sum(
+            k * monomial_eval(mu, xs)
+            for mu, k in schur_in_monomials(lam, 12).items()
+        )
+        assert rel_err(val, schur_det(lam, xs)) < 1e-9, lam
+
+
+def test_monomial_on_arrays_matches_monomial_eval():
+    rng = np.random.default_rng(18)
+    npoints, nvars = 16, 5
+    points = [random_points(rng, nvars) for _ in range(npoints)]
+    arrays = [np.array([p[j] for p in points]) for j in range(nvars)]
+    for lam in partitions_up_to(6):
+        got = monomial_on_arrays(lam, arrays, npoints)
+        assert got.shape == (npoints,)
+        for value, xs in zip(got, points):
+            assert rel_err(value, monomial_eval(lam, xs)) < 1e-12, lam
+
+
+def test_no_module_enumerates_permutations():
+    # cost must grow polynomially in the number of variables, never as n!
+    package = Path(__file__).resolve().parents[1] / "src" / "lsrmt"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "permutations" in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+        )
+    ]
+    assert offenders == []
 
 
 def test_powersum_neg():
