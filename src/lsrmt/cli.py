@@ -11,6 +11,7 @@ tolerance, or a quadrature grid that does not converge.  Errors print
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -227,7 +228,9 @@ def cmd_mc(args) -> tuple[dict, int]:
     return payload, 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later main() calls."""
     parser = argparse.ArgumentParser(
         prog="lsrmt",
         description="Littlewood-Schur functions, overlap identities, unitary averages",

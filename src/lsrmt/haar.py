@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .symfunc import monomial_on_arrays
 
 POLE_EPS = 1e-9
 CHUNK = 4096
+# mesh points handed to a Weyl functional at once; bounds the mesh-sized temporaries
+WEYL_CHUNK = 1 << 14
 
 
 class PoleProximityError(ValueError):
@@ -287,14 +289,16 @@ def weyl_quadrature(
 
 def _weyl_on_grid(functional, big_n: int, grid: int) -> complex:
     theta = 2.0 * np.pi * np.arange(grid) / grid
-    axes = np.meshgrid(*([theta] * big_n), indexing="ij")
-    angles = np.stack([a.ravel() for a in axes], axis=-1)
-    eigs = np.exp(1j * angles)
-    weight = np.ones(eigs.shape[0])
-    for i in range(big_n):
-        for j in range(i + 1, big_n):
-            weight = weight * np.abs(eigs[:, i] - eigs[:, j]) ** 2
-    vals = np.asarray(functional(eigs), dtype=complex)
-    from math import factorial
-
-    return complex(np.mean(vals * weight) / factorial(big_n))
+    npoints = grid ** big_n
+    total = 0j
+    for start in range(0, npoints, WEYL_CHUNK):
+        index = np.arange(start, min(start + WEYL_CHUNK, npoints))
+        axes = np.unravel_index(index, (grid,) * big_n)
+        eigs = np.exp(1j * np.stack([theta[a] for a in axes], axis=-1))
+        weight = np.ones(eigs.shape[0])
+        for i in range(big_n):
+            for j in range(i + 1, big_n):
+                weight = weight * np.abs(eigs[:, i] - eigs[:, j]) ** 2
+        vals = np.asarray(functional(eigs), dtype=complex)
+        total += np.sum(vals * weight)
+    return complex(total / (npoints * factorial(big_n)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 
@@ -134,6 +135,12 @@ def partitions_up_to(s: int, max_part: int | None = None, max_len: int | None = 
     """All partitions of size 0..s."""
     for k in range(s + 1):
         yield from partitions_of(k, max_part=max_part, max_len=max_len)
+
+
+@lru_cache(maxsize=256)
+def partition_pool(s: int, max_part: int | None = None, max_len: int | None = None):
+    """partitions_up_to(s, max_part, max_len) as a tuple, built once per bounds."""
+    return tuple(partitions_up_to(s, max_part=max_part, max_len=max_len))
 
 
 def subdiagrams(lam):
@@ -374,7 +381,11 @@ def overlap_fiber(lam, m: int, n: int) -> list[tuple[Partition, Partition, int]]
     The walk pi across the n x m rectangle maps to
     (mu(pi) + lam_V, nu(pi)' + lam_H) with sign (-1)^{|nu(pi)|}.
     """
-    lam = canonical(lam)
+    return list(_overlap_fiber(canonical(lam), m, n))
+
+
+@lru_cache(maxsize=1 << 12)
+def _overlap_fiber(lam: Partition, m: int, n: int) -> tuple[tuple[Partition, Partition, int], ...]:
     if len(lam) > m + n:
         raise ValueError(f"l({lam}) > {m + n}")
     lam_pad = lam + (0,) * (m + n - len(lam))
@@ -385,7 +396,7 @@ def overlap_fiber(lam, m: int, n: int) -> list[tuple[Partition, Partition, int]]
         nu = add(walk.lower_partition_conjugate(), tuple(lam_pad[t - 1] for t in h))
         lower_size = m * n - size(walk.upper_partition())
         out.append((mu, nu, -1 if lower_size % 2 else 1))
-    return out
+    return tuple(out)
 
 
 # -- subpartitions ----------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 from .partitions import (
     canonical,
     multiplicities,
+    partition_pool,
     partitions_of,
     partitions_up_to,
 )
@@ -51,11 +52,6 @@ def _z_float(lam) -> float:
                 out *= float(current) ** run * factorial(run)
             current, run = p, 1
     return out
-
-
-@lru_cache(maxsize=64)
-def _partition_pool(max_size: int, max_part: int):
-    return tuple(partitions_up_to(max_size, max_part=max_part))
 
 
 class TruncationError(RuntimeError):
@@ -454,7 +450,7 @@ def _matching_sum(psi, omega, pk_rho, pk_c, size_cap: int, part_cap: int) -> com
     base = _mult_to_partition(req)
     total = 0j
     max_part = min(part_cap, len(pk_rho) - 1)
-    for extra in _partition_pool(size_cap - req_size, max_part):
+    for extra in partition_pool(size_cap - req_size, max_part=max_part):
         lam = tuple(sorted(base + extra, reverse=True))
         if lam and lam[0] >= len(pk_rho):
             continue

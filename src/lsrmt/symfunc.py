@@ -220,23 +220,31 @@ def schur_det(lam, xs, eps: float = DISTINCT_EPS) -> complex:
     return complex(np.linalg.det(mat) / delta(xs))
 
 
-@lru_cache(maxsize=1 << 16)
-def _schur_comb_cached(lam: Partition, xs: VarSet) -> complex:
+def _schur_prefix(lam: Partition, xs: VarSet, k: int, memo: dict) -> complex:
+    """s_lam(x_1..x_k) by the branching rule, memoized on (lam, k) in ``memo``.
+
+    ``memo`` belongs to one evaluation at one variable set: it is keyed on
+    shapes and prefix lengths only, never on the values.
+    """
     if not lam:
         return 1.0 + 0j
-    if not xs:
+    if len(lam) > k:
+        # s_lam vanishes in fewer than l(lam) variables
         return 0j
-    head, last = xs[:-1], xs[-1]
-    total = 0j
-    weight = size(lam)
-    for mu in _horizontal_strip_predecessors(lam):
-        total += last ** (weight - size(mu)) * _schur_comb_cached(mu, head)
+    key = (lam, k)
+    total = memo.get(key)
+    if total is None:
+        last = xs[k - 1]
+        total = 0j
+        for mu, strip in _horizontal_strip_predecessors(lam):
+            total += last ** strip * _schur_prefix(mu, xs, k - 1, memo)
+        memo[key] = total
     return total
 
 
 @lru_cache(maxsize=1 << 16)
-def _horizontal_strip_predecessors(lam: Partition) -> tuple[Partition, ...]:
-    """All mu with lam/mu a horizontal strip (branching rule)."""
+def _horizontal_strip_predecessors(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """All (mu, |lam| - |mu|) with lam/mu a horizontal strip (branching rule)."""
     lam = canonical(lam)
     ranges = [
         range(part(lam, j + 2), lam[j] + 1) for j in range(len(lam))
@@ -244,7 +252,8 @@ def _horizontal_strip_predecessors(lam: Partition) -> tuple[Partition, ...]:
     out = []
     for choice in itertools.product(*ranges):
         if all(choice[i] >= choice[i + 1] for i in range(len(choice) - 1)):
-            out.append(canonical(choice))
+            mu = canonical(choice)
+            out.append((mu, size(lam) - size(mu)))
     return tuple(out)
 
 
@@ -259,7 +268,7 @@ def schur_comb(lam, xs, cap: int = SIZE_CAP) -> complex:
         raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
     if len(lam) > len(xs):
         return 0j
-    return _schur_comb_cached(lam, as_varset(xs))
+    return _schur_prefix(lam, as_varset(xs), len(xs), {})
 
 
 # -- Littlewood-Richardson coefficients --------------------------------------
@@ -327,22 +336,40 @@ def ls_comb(lam, xs, ys, cap: int = SIZE_CAP) -> complex:
         raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
     xs, ys = as_varset(xs), as_varset(ys)
     n, m = len(xs), len(ys)
+    x_memo, y_memo = {}, {}
     total = 0j
+    for nu_conj, terms in _ls_comb_terms(lam, n, m, cap):
+        sy = _schur_prefix(nu_conj, ys, m, y_memo)
+        if sy == 0:
+            continue
+        for mu, c in terms:
+            total += c * _schur_prefix(mu, xs, n, x_memo) * sy
+    return total
+
+
+@lru_cache(maxsize=1 << 12)
+def _ls_comb_terms(lam: Partition, n: int, m: int, cap: int):
+    """The (nu', ((mu, c^lam_{mu nu}), ...)) terms of ls_comb, in summation order.
+
+    nu runs over the subdiagrams of lam whose conjugate has at most m rows,
+    mu over the partitions of |lam| - |nu| with at most n rows inside lam with
+    a nonzero coefficient.
+    """
+    out = []
     for nu in subdiagrams(lam):
         # s_{nu'}(Y) vanishes unless nu' has at most m rows
         if nu and nu[0] > m:
             continue
-        sy = schur_comb(conjugate(nu), ys, cap=cap)
-        if sy == 0:
-            continue
         rest = size(lam) - size(nu)
+        terms = []
         for mu in partitions_of(rest, max_len=n):
             if not contains(lam, mu):
                 continue
             c = lr_coeff(lam, mu, nu, cap=cap)
             if c:
-                total += c * schur_comb(mu, xs, cap=cap) * sy
-    return total
+                terms.append((mu, c))
+        out.append((conjugate(nu), tuple(terms)))
+    return tuple(out)
 
 
 def ls_det_sign(lam, m: int, n: int) -> int:
@@ -412,8 +439,8 @@ def lr_kostka(lam: Partition, mu: Partition) -> int:
         if not remaining:
             return 1 if not shape else 0
         total = 0
-        for prev in _horizontal_strip_predecessors(shape):
-            if size(shape) - size(prev) == remaining[-1]:
+        for prev, strip in _horizontal_strip_predecessors(shape):
+            if strip == remaining[-1]:
                 total += count(prev, remaining[:-1])
         return total
 

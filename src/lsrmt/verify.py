@@ -22,6 +22,7 @@ from .partitions import (
     mn_index,
     overlap_fiber,
     part,
+    partition_pool,
     partitions_up_to,
     ribbons_added,
     sub_partition,
@@ -70,7 +71,7 @@ def random_points(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
 
 def random_partition(rng, max_size, max_len=None, max_part=None):
     """Uniform draw from the partitions of size <= max_size within the bounds."""
-    pool = list(partitions_up_to(max_size, max_len=max_len, max_part=max_part))
+    pool = partition_pool(max_size, max_part=max_part, max_len=max_len)
     return pool[int(rng.integers(len(pool)))]
 
 
@@ -331,7 +332,7 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
             for y in ys:
                 closed /= 1 - x * y
         partial = 0j
-        for lam in partitions_up_to(40, max_len=min(n, m)):
+        for lam in partition_pool(40, max_len=min(n, m)):
             partial += schur_det(lam, xs) * schur_det(lam, ys)
         err = abs(partial - closed) / max(1.0, abs(closed))
         max_err = max(max_err, err)
@@ -349,7 +350,7 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
                 closed *= 1 + x * y
         total = sum(
             schur_det(lam, xs) * schur_det(conjugate(lam), ys)
-            for lam in partitions_up_to(m * n, max_part=m, max_len=n)
+            for lam in partition_pool(m * n, max_part=m, max_len=n)
         )
         err = rel_err(total, closed)
         max_err = max(max_err, err)

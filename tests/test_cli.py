@@ -189,3 +189,34 @@ def test_numeric_failure_exits_2_with_json_error(args, capsys):
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"schema", "error"}
     assert captured.err == ""
+
+
+REUSE_INVOCATIONS = [
+    ["verify", "overlap-1", "--seed", "4", "--instances", "12"],
+    ["verify", "overlap-2", "--seed", "4", "--instances", "12"],
+    ["verify", "ls-properties", "--seed", "4", "--instances", "6"],
+    ["verify", "cauchy", "--seed", "4", "--instances", "2"],
+    ["verify", "mn-all", "--seed", "4", "--instances", "2"],
+    ["compute", "schur", "--lambda", "3,1", "--x", "0.3+0.1j,1.1,-0.7j", "--method", "comb"],
+    ["compute", "ls", "--lambda", "2,2,1", "--x", "0.3+0.1j,1.1", "--y=-0.7j,0.5",
+     "--method", "comb"],
+    ["compute", "no-such-target"],
+    ["--output", "text", "compute", "lrcoeff", "--lambda", "3,2,1", "--mu", "2,1",
+     "--nu", "2,1"],
+]
+
+
+def test_in_process_reuse_matches_fresh_processes(capsys):
+    # the parser and the shape-keyed plans outlive a main() call; a run must
+    # print what a fresh interpreter prints, whatever ran before it
+    fresh = []
+    for args in REUSE_INVOCATIONS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lsrmt.cli", *args], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh] == [0] * 7 + [2, 0]
+    for order in (range(len(fresh)), reversed(range(len(fresh)))):
+        for i in order:
+            code = main(REUSE_INVOCATIONS[i])
+            assert (code, capsys.readouterr().out) == fresh[i], REUSE_INVOCATIONS[i]

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from lsrmt.haar import (
+    WEYL_CHUNK,
     MCEstimate,
     PoleProximityError,
     _char_batch,
     _haar_batch,
     _logder_batch,
     _logder_inv_batch,
+    _weyl_on_grid,
     make_estimator,
     mc_average,
     weyl_quadrature,
@@ -159,6 +161,19 @@ def test_weyl_quadrature_mesh_cap_raises_before_building():
 
     with pytest.raises(QuadratureError):
         weyl_quadrature(functional, 3, grid=128)
+
+
+def test_weyl_mesh_is_evaluated_in_chunks():
+    rows = []
+
+    def one(eigs):
+        rows.append(eigs.shape[0])
+        return np.ones(eigs.shape[0], dtype=complex)
+
+    # the Weyl density integrates to 1; 32**3 points span two chunks
+    assert abs(_weyl_on_grid(one, 3, 32) - 1) < 1e-12
+    assert sum(rows) == 32 ** 3
+    assert len(rows) > 1 and max(rows) <= WEYL_CHUNK
 
 
 def test_weyl_schur_orthogonality_small():

@@ -204,6 +204,14 @@ def test_overlap_fiber_small():
     assert set(fiber) == {((1,), (), 1), ((), (1,), -1)}
 
 
+def test_overlap_fiber_returns_a_fresh_list():
+    fiber = overlap_fiber((3, 1), 2, 2)
+    want = list(fiber)
+    fiber.pop()
+    fiber.append(((9,), (9,), 1))
+    assert overlap_fiber((3, 1), 2, 2) == want
+
+
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 4)])
 def test_overlap_fiber_roundtrip(m, n):
     rng = np.random.default_rng(7 * m + n)

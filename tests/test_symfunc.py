@@ -1,5 +1,6 @@
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -357,3 +358,58 @@ def test_schur_in_monomials():
     xs = random_points(rng, 3)
     val = sum(k * monomial_eval(mu, xs) for mu, k in out.items())
     assert rel_err(val, schur_det((2, 1), xs)) < 1e-9
+
+
+def _lsrmt_cache_stats():
+    """(currsize, misses) of every functools cache bound in an lsrmt module."""
+    out = {}
+    for name, module in sorted(sys.modules.items()):
+        if name != "lsrmt" and not name.startswith("lsrmt."):
+            continue
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                info = value.cache_info()
+                out[f"{name}.{attr}"] = (info.currsize, info.misses)
+    return out
+
+
+def test_fresh_points_grow_no_cache():
+    # caches may hold shape data only: a second point set adds no entries
+    rng = np.random.default_rng(21)
+
+    def evaluate_every_shape():
+        xs = random_points(rng, 3)
+        ys = random_points(rng, 2, avoid=xs)
+        for lam in partitions_up_to(5):
+            schur_comb(lam, xs)
+            ls_comb(lam, xs, ys)
+            ls_det(lam, xs, ys)
+
+    evaluate_every_shape()
+    before = _lsrmt_cache_stats()
+    evaluate_every_shape()
+    assert _lsrmt_cache_stats() == before
+
+
+def test_comb_plans_and_memos_do_not_leak_between_calls():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        xs = random_points(rng, int(rng.integers(1, 5)))
+        for lam in partitions_up_to(4):
+            assert rel_err(schur_comb(lam, xs), schur_det(lam, xs)) < 1e-9
+    for n, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        point_sets = []
+        for _ in range(2):
+            pts = random_points(rng, n + m)
+            point_sets.append((pts[:n], pts[n:]))
+        for lam in partitions_up_to(6):
+            for xs, ys in point_sets:
+                got = ls_comb(lam, xs, ys)
+                assert rel_err(got, ls_det(lam, neg(xs), ys)) < 1e-8, (lam, xs, ys)
+    # coincident X values: the memo is keyed on prefix lengths, not on values
+    a, b = 0.6 + 0.2j, -0.4 + 0.9j
+    xs, ys = (a, a, b), (0.8 - 0.3j, 0.5j)
+    for lam in partitions_up_to(5):
+        base = ls_comb(lam, xs, ys)
+        assert rel_err(ls_comb(lam, xs + (0j,), ys), base) < 1e-12
+        assert rel_err(ls_comb(lam, xs, ys + (0j,)), base) < 1e-12
