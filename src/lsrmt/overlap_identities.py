@@ -16,9 +16,9 @@ from .partitions import (
     part,
 )
 from .symfunc import (
+    _delta,
+    _delta2,
     as_varset,
-    delta,
-    delta2,
     ls_det,
     ordered_splits,
 )
@@ -59,7 +59,7 @@ def first_overlap_rhs(mu, nu, l: int, lam_tail, xs, ys) -> complex:
             ov.sign
             * ls_det(shifted_mu, s, ys)
             * ls_det(nu_full, t, ys)
-            / delta2(t, s)
+            / _delta2(t, s)
         )
     return total
 
@@ -93,7 +93,7 @@ def second_overlap_rhs(lam, s_vars, t_vars, ys) -> complex:
     s_vars, t_vars, ys = as_varset(s_vars), as_varset(t_vars), as_varset(ys)
     l, m = len(s_vars), len(ys)
     n = l + len(t_vars)
-    if delta(ys) == 0 or delta2(s_vars, t_vars) == 0:
+    if _delta(ys) == 0 or _delta2(s_vars, t_vars) == 0:
         raise ValueError("Delta(Y) and Delta(S;T) must be nonzero")
     k = mn_index(lam, m, n)
     if k < 0:
@@ -107,9 +107,9 @@ def second_overlap_rhs(lam, s_vars, t_vars, ys) -> complex:
         fiber = overlap_fiber(head, l - p, n - k - l + p)
         for u_vars, v_vars in ordered_splits(ys, p):
             prefactor = (
-                delta2(v_vars, s_vars)
-                * delta2(t_vars, u_vars)
-                / (delta2(v_vars, u_vars) * delta2(t_vars, s_vars))
+                _delta2(v_vars, s_vars)
+                * _delta2(t_vars, u_vars)
+                / (_delta2(v_vars, u_vars) * _delta2(t_vars, s_vars))
             )
             for mu, nu, sign in fiber:
                 shifted = canonical(

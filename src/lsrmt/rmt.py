@@ -23,8 +23,9 @@ from .partitions import (
     partitions_up_to,
 )
 from .symfunc import (
+    _delta2,
+    _distinct,
     as_varset,
-    delta2,
     e_prod,
     inv,
     monomial_eval,
@@ -111,7 +112,7 @@ def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
     s_<N^m>(A cup B^{-1}) with m = l(B); split_sum form: the equivalent sum
     over splits of A cup B^{-1} into m and n variables.
     """
-    from .symfunc import pairwise_distinct, schur_comb, schur_det
+    from .symfunc import schur_comb, schur_det
 
     a_vars, b_vars = as_varset(a_vars), as_varset(b_vars)
     if any(v == 0 for v in a_vars + b_vars):
@@ -121,23 +122,21 @@ def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
     prefactor = e_prod(b_vars) ** big_n
     if form == "schur":
         lam = (big_n,) * m
-        if pairwise_distinct(ab):
+        if _distinct(ab):
             return prefactor * schur_det(lam, ab)
         return prefactor * schur_comb(lam, ab, cap=max(20, big_n * m))
     if form == "split_sum":
-        if not pairwise_distinct(ab):
+        if not _distinct(ab):
             raise ValueError("split_sum form needs pairwise distinct A cup B^{-1}")
         total = 0j
         for s, t in ordered_splits(ab, m):
-            total += e_prod(s) ** (n + big_n) / delta2(s, t)
+            total += e_prod(s) ** (n + big_n) / _delta2(s, t)
         return prefactor * total
     raise ValueError(f"unknown form {form!r}")
 
 
 def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
     """Main formula for averages of ratios of characteristic polynomials."""
-    from .symfunc import pairwise_distinct
-
     a_vars, b_vars = as_varset(a_vars), as_varset(b_vars)
     c_vars, d_vars = as_varset(c_vars), as_varset(d_vars)
     if any(abs(v) >= 1 for v in c_vars + d_vars):
@@ -149,7 +148,7 @@ def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
     if len(c_vars) > big_n:
         raise ValueError("need l(C) <= N")
     ab = a_vars + inv(b_vars)
-    if not pairwise_distinct(ab):
+    if not _distinct(ab):
         raise ValueError("A cup B^{-1} must be pairwise distinct")
     cd = 1.0 + 0j
     for gamma in c_vars:
@@ -160,8 +159,8 @@ def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
     for s, t in ordered_splits(ab, len(b_vars)):
         term = (
             e_prod(neg(s)) ** (big_n + len(a_vars) - len(d_vars))
-            * delta2(d_vars, s)
-            / delta2(t, s)
+            * _delta2(d_vars, s)
+            / _delta2(t, s)
         )
         for tt in t:
             for gamma in c_vars:
@@ -353,8 +352,8 @@ def recipe_main(
     for s_vars, t_vars in ordered_splits(ab, len(b)):
         weight = (
             e_prod(neg(s_vars)) ** (big_n + len(a) - len(d))
-            * delta2(d, s_vars)
-            / delta2(t_vars, s_vars)
+            * _delta2(d, s_vars)
+            / _delta2(t_vars, s_vars)
         )
         # p_k of the union specialization rho^beta_{-T} cup rho^alpha_D
         pk_rho = [0j] + [

@@ -41,19 +41,33 @@ class SizeCapError(ValueError):
 
 
 def as_varset(values) -> VarSet:
-    return tuple(complex(v) for v in values)
+    return tuple(map(complex, values))
 
 
 def pairwise_distinct(values, eps: float = DISTINCT_EPS) -> bool:
-    vals = as_varset(values)
+    return _distinct(as_varset(values), eps)
+
+
+def delta(xs) -> complex:
+    """Vandermonde product prod_{i<j} (x_i - x_j)."""
+    return _delta(as_varset(xs))
+
+
+def delta2(xs, ys) -> complex:
+    """Pairwise difference product prod_{x in X, y in Y} (x - y)."""
+    return _delta2(as_varset(xs), as_varset(ys))
+
+
+# The three kernels below take variable sets that are already VarSets, so
+# callers that normalized their inputs once do not pay for it per product.
+
+def _distinct(vals: VarSet, eps: float = DISTINCT_EPS) -> bool:
     return all(
         abs(a - b) >= eps for a, b in itertools.combinations(vals, 2)
     )
 
 
-def delta(xs) -> complex:
-    """Vandermonde product prod_{i<j} (x_i - x_j)."""
-    xs = as_varset(xs)
+def _delta(xs: VarSet) -> complex:
     out = 1.0 + 0j
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -61,11 +75,10 @@ def delta(xs) -> complex:
     return out
 
 
-def delta2(xs, ys) -> complex:
-    """Pairwise difference product prod_{x in X, y in Y} (x - y)."""
+def _delta2(xs: VarSet, ys: VarSet) -> complex:
     out = 1.0 + 0j
-    for x in as_varset(xs):
-        for y in as_varset(ys):
+    for x in xs:
+        for y in ys:
             out *= x - y
     return out
 
@@ -209,7 +222,7 @@ def schur_det(lam, xs, eps: float = DISTINCT_EPS) -> complex:
         return 0j
     if n == 0:
         return 1.0 + 0j
-    if not pairwise_distinct(xs, eps):
+    if not _distinct(xs, eps):
         raise CoincidentVariablesError(
             "variables closer than distinctness threshold; use schur_comb"
         )
@@ -217,29 +230,75 @@ def schur_det(lam, xs, eps: float = DISTINCT_EPS) -> complex:
         [[x ** (part(lam, j) + n - j) for j in range(1, n + 1)] for x in xs],
         dtype=complex,
     )
-    return complex(np.linalg.det(mat) / delta(xs))
+    return complex(np.linalg.det(mat) / _delta(xs))
 
 
-def _schur_prefix(lam: Partition, xs: VarSet, k: int, memo: dict) -> complex:
-    """s_lam(x_1..x_k) by the branching rule, memoized on (lam, k) in ``memo``.
+def _branching_plan(targets, k: int):
+    """Bottom-up evaluation order of s_mu(x_1..x_k) by the branching rule.
 
-    ``memo`` belongs to one evaluation at one variable set: it is keyed on
-    shapes and prefix lengths only, never on the values.
+    Returns (levels, slots).  Values sit in slots: 0 holds 1 (the empty
+    shape), 1 holds 0 (a shape longer than its prefix), and then one slot per
+    node (mu, j) that the targets reach, in order of prefix length j.
+    levels[j - 1] is (top, nodes) for x_j: each node lists its
+    ((slot, strip), ...) predecessors in ``_horizontal_strip_predecessors``
+    order, and top is the largest strip.  slots[i] is the slot of targets[i]
+    in k variables.  The plan holds shape data only.
     """
-    if not lam:
-        return 1.0 + 0j
-    if len(lam) > k:
-        # s_lam vanishes in fewer than l(lam) variables
-        return 0j
-    key = (lam, k)
-    total = memo.get(key)
-    if total is None:
-        last = xs[k - 1]
-        total = 0j
-        for mu, strip in _horizontal_strip_predecessors(lam):
-            total += last ** strip * _schur_prefix(mu, xs, k - 1, memo)
-        memo[key] = total
-    return total
+    reached = [{} for _ in range(k + 1)]  # prefix length -> shapes, in order
+    for lam in targets:
+        if lam and len(lam) <= k:
+            reached[k][lam] = None
+    for j in range(k, 1, -1):
+        for lam in reached[j]:
+            for mu, _ in _horizontal_strip_predecessors(lam):
+                if mu and len(mu) < j:
+                    reached[j - 1][mu] = None
+    slot = {}
+    for j in range(1, k + 1):
+        for lam in reached[j]:
+            slot[lam, j] = len(slot) + 2
+
+    def where(mu, j):
+        if not mu:
+            return 0
+        # s_mu vanishes in fewer than l(mu) variables
+        return 1 if len(mu) > j else slot[mu, j]
+
+    levels = []
+    for j in range(1, k + 1):
+        nodes = tuple(
+            tuple(
+                _pair(where(mu, j - 1), strip)
+                for mu, strip in _horizontal_strip_predecessors(lam)
+            )
+            for lam in reached[j]
+        )
+        # the largest horizontal strip of lam is its whole first row
+        levels.append((max((lam[0] for lam in reached[j]), default=-1), nodes))
+    return tuple(levels), tuple(where(lam, k) for lam in targets)
+
+
+@lru_cache(maxsize=1 << 12)
+def _pair(slot: int, count: int) -> tuple[int, int]:
+    """One shared (slot, count) tuple: plans hold ~10^5 pairs, a few hundred distinct."""
+    return slot, count
+
+
+def _branching_values(levels, xs: VarSet) -> list[complex]:
+    """The slot values of a ``_branching_plan`` at xs, in a list for this call only.
+
+    Each node sums x_j**strip * value[predecessor] in plan order, so the
+    arithmetic is that of the recursive branching rule term by term.
+    """
+    vals = [1.0 + 0j, 0j]
+    for x, (top, nodes) in zip(xs, levels):
+        powers = [x ** s for s in range(top + 1)]
+        for node in nodes:
+            total = 0j
+            for slot, strip in node:
+                total += powers[strip] * vals[slot]
+            vals.append(total)
+    return vals
 
 
 @lru_cache(maxsize=1 << 16)
@@ -263,12 +322,18 @@ def schur_comb(lam, xs, cap: int = SIZE_CAP) -> complex:
     Evaluated by peeling horizontal strips for the last variable, which is the
     tableau sum organized by the largest entry; valid for repeated variables.
     """
+    xs = as_varset(xs)
+    levels, (slot,) = _schur_comb_plan(tuple(map(int, lam)), len(xs), cap)
+    return _branching_values(levels, xs)[slot]
+
+
+@lru_cache(maxsize=1 << 12)
+def _schur_comb_plan(lam, k: int, cap: int):
+    """The ``_branching_plan`` of s_lam in k variables."""
     lam = canonical(lam)
     if size(lam) > cap:
         raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
-    if len(lam) > len(xs):
-        return 0j
-    return _schur_prefix(lam, as_varset(xs), len(xs), {})
+    return _branching_plan((lam,), k)
 
 
 # -- Littlewood-Richardson coefficients --------------------------------------
@@ -331,45 +396,54 @@ def ls_comb(lam, xs, ys, cap: int = SIZE_CAP) -> complex:
 
     Valid for arbitrary, even coincident, values.
     """
-    lam = canonical(lam)
-    if size(lam) > cap:
-        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
     xs, ys = as_varset(xs), as_varset(ys)
-    n, m = len(xs), len(ys)
-    x_memo, y_memo = {}, {}
+    x_levels, y_levels, terms = _ls_comb_plan(tuple(map(int, lam)), len(xs), len(ys), cap)
+    x_vals = _branching_values(x_levels, xs)
+    y_vals = _branching_values(y_levels, ys)
     total = 0j
-    for nu_conj, terms in _ls_comb_terms(lam, n, m, cap):
-        sy = _schur_prefix(nu_conj, ys, m, y_memo)
+    for y_slot, row in terms:
+        sy = y_vals[y_slot]
         if sy == 0:
             continue
-        for mu, c in terms:
-            total += c * _schur_prefix(mu, xs, n, x_memo) * sy
+        for x_slot, c in row:
+            total += c * x_vals[x_slot] * sy
     return total
 
 
 @lru_cache(maxsize=1 << 12)
-def _ls_comb_terms(lam: Partition, n: int, m: int, cap: int):
-    """The (nu', ((mu, c^lam_{mu nu}), ...)) terms of ls_comb, in summation order.
+def _ls_comb_plan(lam, n: int, m: int, cap: int):
+    """ls_comb's branching plans in X and in Y and its terms, in summation order.
 
-    nu runs over the subdiagrams of lam whose conjugate has at most m rows,
-    mu over the partitions of |lam| - |nu| with at most n rows inside lam with
-    a nonzero coefficient.
+    The terms are ((slot of nu' in Y, ((slot of mu in X, c^lam_{mu nu}),
+    ...)), ...): nu runs over the subdiagrams of lam whose conjugate has at
+    most m rows, mu over the partitions of |lam| - |nu| with at most n rows
+    inside lam with a nonzero coefficient.
     """
-    out = []
+    lam = canonical(lam)
+    if size(lam) > cap:
+        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
+    terms = []
     for nu in subdiagrams(lam):
         # s_{nu'}(Y) vanishes unless nu' has at most m rows
         if nu and nu[0] > m:
             continue
         rest = size(lam) - size(nu)
-        terms = []
+        row = []
         for mu in partitions_of(rest, max_len=n):
             if not contains(lam, mu):
                 continue
             c = lr_coeff(lam, mu, nu, cap=cap)
             if c:
-                terms.append((mu, c))
-        out.append((conjugate(nu), tuple(terms)))
-    return tuple(out)
+                row.append((mu, c))
+        terms.append((conjugate(nu), tuple(row)))
+    x_levels, x_slots = _branching_plan(tuple(mu for _, row in terms for mu, _ in row), n)
+    y_levels, y_slots = _branching_plan(tuple(nu_conj for nu_conj, _ in terms), m)
+    x_slot = iter(x_slots)
+    planned = tuple(
+        (y_slot, tuple(_pair(next(x_slot), c) for _, c in row))
+        for y_slot, (_, row) in zip(y_slots, terms)
+    )
+    return x_levels, y_levels, planned
 
 
 def ls_det_sign(lam, m: int, n: int) -> int:
@@ -389,30 +463,39 @@ def ls_det(lam, xs, ys, eps: float = DISTINCT_EPS) -> complex:
     formula holds; callers wanting LS_lambda(X; Y) should negate X first.
     Returns 0 when the (m,n)-index of lambda is negative.
     """
-    lam = canonical(lam)
     xs, ys = as_varset(xs), as_varset(ys)
-    n, m = len(xs), len(ys)
-    k = mn_index(lam, m, n)
-    if k < 0:
+    plan = _ls_det_plan(tuple(map(int, lam)), len(xs), len(ys))
+    if plan is None:
         return 0j
-    if not pairwise_distinct(xs + ys, eps):
+    if not _distinct(xs + ys, eps):
         raise CoincidentVariablesError(
             "X union Y has coincident variables; use ls_comb"
         )
+    dim, x_exps, y_exps, sign = plan
+    # rows [1/(x - y) | x^a] for x in X, then [y^b | 0] for each exponent b
+    rows = [[1 / (x - y) for y in ys] + [x ** e for e in x_exps] for x in xs]
+    pad = [0j] * (dim - len(ys))
+    rows += [[y ** e for y in ys] + pad for e in y_exps]
+    det = complex(np.linalg.det(np.array(rows, dtype=complex).reshape(dim, dim)))
+    return sign * _delta2(ys, xs) / (_delta(xs) * _delta(ys)) * det
+
+
+@lru_cache(maxsize=1 << 12)
+def _ls_det_plan(lam, n: int, m: int):
+    """ls_det's layout: (dim, x exponents, y exponents, sign), or None when k < 0.
+
+    With k the (m, n)-index, the matrix has dim = n + m - k rows; x_i's row
+    holds x_i**a for the n - k exponents a, and y exponent b gives the row
+    y_j**b.
+    """
+    lam = canonical(lam)
+    k = mn_index(lam, m, n)
+    if k < 0:
+        return None
     lamc = conjugate(lam)
-    dim = n + (m - k)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            mat[i, j] = 1 / (x - y)
-        for j in range(1, n - k + 1):
-            mat[i, m + j - 1] = x ** (part(lam, j) + n - m - j)
-    for i in range(1, m - k + 1):
-        for j, y in enumerate(ys):
-            mat[n + i - 1, j] = y ** (part(lamc, i) + m - n - i)
-    det = complex(np.linalg.det(mat))
-    sign = ls_det_sign(lam, m, n)
-    return sign * delta2(ys, xs) / (delta(xs) * delta(ys)) * det
+    x_exps = tuple(part(lam, j) + n - m - j for j in range(1, n - k + 1))
+    y_exps = tuple(part(lamc, i) + m - n - i for i in range(1, m - k + 1))
+    return n + (m - k), x_exps, y_exps, ls_det_sign(lam, m, n)
 
 
 def schur_in_monomials(lam, nvars: int, cap: int = SIZE_CAP) -> dict[Partition, int]:

@@ -1,0 +1,65 @@
+"""Byte-identity check for CLI output: one sha256 per invocation.
+
+Runs a fixed list of 33 invocations in-process through ``lsrmt.cli.main`` and
+prints, per invocation, the sha256 of its exit code, stdout and stderr,
+followed by the arguments.  Run it on two checkouts and compare the lines:
+
+    PYTHONPATH=src python tests/cli_digest.py > after.txt
+    PYTHONPATH=/path/to/other/checkout/src python tests/cli_digest.py > before.txt
+    diff before.txt after.txt
+
+Not collected by pytest (the name does not start with ``test_``); the whole
+list takes under a minute on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+from lsrmt.cli import main
+
+SUITES = ("ls-properties", "overlap-1", "overlap-2", "mn-all", "cauchy", "recipe-consistency")
+MC_SMALL = ["--N", "4", "--M", "2000", "--seed", "5"]
+MC_LOGDER = ["--N", "20", "--M", "1000", "--seed", "2", "--eps", "0.4", "--phi", "0.2+0.1j"]
+
+INVOCATIONS = (
+    [["verify", suite, "--seed", "0"] for suite in SUITES]
+    + [["verify", "recipe-consistency", "--seed", "3"]]
+    + [["mc", "--estimator", est, *MC_SMALL] for est in (
+        "one", "trace", "abs_trace_sq", "abs_char_sq", "logder_pair", "completed_logder_pair",
+        "explicit_sum", "schur_pair")]
+    + [["mc", "--estimator", "ratio", *MC_SMALL,
+        "--a", "0.7", "--b", "0.8", "--c", "0.3", "--d", "0.2"]]
+    + [["mc", "--estimator", est, *MC_LOGDER] for est in ("logder_pair", "completed_logder_pair")]
+    + [["compute", "logders-main", "--e", e, "--f", f] for e, f in (
+        ("0.3", "0.4"), ("0.3,0.2+0.1j", "0.4,0.1"), ("0.3,0.2,0.1j", "0.2,0.25,-0.1"))]
+    + [["compute", "completed-main", "--N", "8", "--e", e, "--f", f] for e, f in (
+        ("0.3", "0.4"), ("0.3,0.2+0.1j", "0.4,0.1"), ("0.3,0.2", "0.4"))]
+    + [["compute", "ratio-main", "--N", "6", "--a", "0.7,1.1j", "--b", "0.8",
+        "--c", "0.3", "--d", "0.2,0.1j"]]
+    + [["compute", "schur", f"--lambda={lam}", "--x=0.5,1.2j,-0.7+0.3j,0.9-0.4j",
+        "--method", "comb"] for lam in ("3,2,1", "4,1")]
+    + [["compute", "ls", "--lambda=3,2,1", "--x=0.5,1.2j", "--y=-0.7+0.3j,0.9-0.4j",
+        "--method", "comb"]]
+    + [["compute", "explicit-rhs", "--N", "8", *args] for args in (
+        ["--n", "1", "--h", "rational:2"],
+        ["--n", "2", "--h", "one", "--f-key", "sum", "--grid", "16"],
+        ["--n", "2", "--h", "identity", "--f-key", "prod", "--r", "0.4", "--grid", "16"],
+        ["--n", "3", "--h", "one", "--f-key", "sum", "--grid", "8"],
+        ["--n", "3", "--h", "identity", "--f-key", "sum", "--grid", "8", "--r", "0.4"])]
+)
+
+
+def digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    payload = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for argv in INVOCATIONS:
+        print(digest(argv), " ".join(argv))

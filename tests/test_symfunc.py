@@ -8,14 +8,18 @@ import pytest
 
 from lsrmt.partitions import (
     conjugate,
+    contains,
     is_horizontal_strip,
     mn_index,
+    part,
     partitions_of,
     partitions_up_to,
     rectangle,
     size,
+    subdiagrams,
 )
 from lsrmt.symfunc import (
+    _horizontal_strip_predecessors,
     CoincidentVariablesError,
     SizeCapError,
     basis_eval,
@@ -27,6 +31,7 @@ from lsrmt.symfunc import (
     lr_coeff,
     ls_comb,
     ls_det,
+    ls_det_sign,
     monomial_eval,
     monomial_on_arrays,
     neg,
@@ -413,3 +418,101 @@ def test_comb_plans_and_memos_do_not_leak_between_calls():
         base = ls_comb(lam, xs, ys)
         assert rel_err(ls_comb(lam, xs + (0j,), ys), base) < 1e-12
         assert rel_err(ls_comb(lam, xs, ys + (0j,)), base) < 1e-12
+
+
+def test_ls_det_on_empty_variable_sets():
+    # LS_lam(-X; ()) = s_lam(-X) and LS_lam(-(); Y) = s_lam'(Y)
+    rng = np.random.default_rng(23)
+    assert ls_det((), (), ()) == 1
+    for lam in partitions_up_to(5):
+        if lam:
+            assert ls_det(lam, (), ()) == 0
+        for count in range(1, 4):
+            pts = random_points(rng, count)
+            got = ls_det(lam, pts, ())
+            assert rel_err(got, ls_comb(lam, neg(pts), ())) < 1e-9, (lam, pts)
+            assert rel_err(got, schur_comb(lam, neg(pts))) < 1e-9, (lam, pts)
+            got = ls_det(lam, (), pts)
+            assert rel_err(got, ls_comb(lam, (), pts)) < 1e-9, (lam, pts)
+            assert rel_err(got, schur_comb(conjugate(lam), pts)) < 1e-9, (lam, pts)
+
+
+def _ls_det_by_elements(lam, xs, ys):
+    """ls_det as first written: the block matrix filled one entry at a time."""
+    n, m = len(xs), len(ys)
+    k = mn_index(lam, m, n)
+    if k < 0:
+        return 0j
+    lamc = conjugate(lam)
+    dim = n + (m - k)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            mat[i, j] = 1 / (x - y)
+        for j in range(1, n - k + 1):
+            mat[i, m + j - 1] = x ** (part(lam, j) + n - m - j)
+    for i in range(1, m - k + 1):
+        for j, y in enumerate(ys):
+            mat[n + i - 1, j] = y ** (part(lamc, i) + m - n - i)
+    det = complex(np.linalg.det(mat))
+    sign = ls_det_sign(lam, m, n)
+    return sign * delta2(ys, xs) / (delta(xs) * delta(ys)) * det
+
+
+def _schur_recursive(lam, xs, k, memo):
+    """s_lam(x_1..x_k) by the branching rule as a memoized recursion."""
+    if not lam:
+        return 1.0 + 0j
+    if len(lam) > k:
+        return 0j
+    if (lam, k) not in memo:
+        total = 0j
+        for mu, strip in _horizontal_strip_predecessors(lam):
+            total += xs[k - 1] ** strip * _schur_recursive(mu, xs, k - 1, memo)
+        memo[lam, k] = total
+    return memo[lam, k]
+
+
+def _ls_comb_recursive(lam, xs, ys):
+    """ls_comb's sum, enumerated and evaluated afresh on every call."""
+    n, m = len(xs), len(ys)
+    x_memo, y_memo = {}, {}
+    total = 0j
+    for nu in subdiagrams(lam):
+        if nu and nu[0] > m:
+            continue
+        sy = _schur_recursive(conjugate(nu), ys, m, y_memo)
+        if sy == 0:
+            continue
+        for mu in partitions_of(size(lam) - size(nu), max_len=n):
+            if contains(lam, mu):
+                c = lr_coeff(lam, mu, nu)
+                if c:
+                    total += c * _schur_recursive(mu, xs, n, x_memo) * sy
+    return total
+
+
+def test_ls_det_plan_matches_elementwise_fill():
+    rng = np.random.default_rng(24)
+    for n in range(5):
+        for m in range(5):
+            pts = random_points(rng, n + m)
+            xs, ys = pts[:n], pts[n:]
+            for lam in partitions_up_to(8):
+                assert ls_det(lam, xs, ys) == _ls_det_by_elements(lam, xs, ys), (lam, xs, ys)
+
+
+def test_branching_plans_match_recursive_rule():
+    rng = np.random.default_rng(25)
+    a, b = 0.6 + 0.2j, -0.4 + 0.9j
+    cases = []
+    for n in range(5):
+        for m in range(5):
+            pts = random_points(rng, n + m)
+            cases.append((pts[:n], pts[n:]))
+    # a zero variable and coincident X values
+    cases += [((a, a, b), (0.8 - 0.3j, 0j)), ((0j, a, a), (b,)), ((a, a, a, a), (0j, b))]
+    for xs, ys in cases:
+        for lam in partitions_up_to(8):
+            assert schur_comb(lam, xs) == _schur_recursive(lam, xs, len(xs), {}), (lam, xs)
+            assert ls_comb(lam, xs, ys) == _ls_comb_recursive(lam, xs, ys), (lam, xs, ys)
