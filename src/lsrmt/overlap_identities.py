@@ -18,8 +18,9 @@ from .partitions import (
 from .symfunc import (
     _delta,
     _delta2,
+    _ls_det_many,
+    _ls_det_plan,
     as_varset,
-    ls_det,
     ordered_splits,
 )
 
@@ -53,14 +54,15 @@ def first_overlap_rhs(mu, nu, l: int, lam_tail, xs, ys) -> complex:
     if not ov.finite:
         return 0j
     shifted_mu = canonical(tuple(part(mu, j) + k for j in range(1, l + 1)))
+    left, right = _ls_det_plan(shifted_mu, l, m), _ls_det_plan(nu_full, n - l, m)
+    splits = list(ordered_splits(xs, l))
+    # both factors of every split, evaluated in one stack
+    vals = iter(_ls_det_many([
+        item for s, t in splits for item in ((left, s, ys), (right, t, ys))
+    ]))
     total = 0j
-    for s, t in ordered_splits(xs, l):
-        total += (
-            ov.sign
-            * ls_det(shifted_mu, s, ys)
-            * ls_det(nu_full, t, ys)
-            / _delta2(t, s)
-        )
+    for s, t in splits:
+        total += ov.sign * next(vals) * next(vals) / _delta2(t, s)
     return total
 
 
@@ -102,24 +104,33 @@ def second_overlap_rhs(lam, s_vars, t_vars, ys) -> complex:
         raise ValueError("need l <= n - k")
     head = canonical(lam[: n - k])
     tail = canonical(lam[n - k:])
-    total = 0j
+    # per split of Y: its prefactor and the (left plan, right plan, sign) of
+    # every fiber entry, whose shapes depend on the split size only
+    terms = []
     for p in range(0, min(l, m) + 1):
-        fiber = overlap_fiber(head, l - p, n - k - l + p)
+        entries = []
+        for mu, nu, sign in overlap_fiber(head, l - p, n - k - l + p):
+            shifted = canonical(tuple(part(mu, j) - (m - k) for j in range(1, l - p + 1)))
+            entries.append((
+                _ls_det_plan(shifted, l, p),
+                _ls_det_plan(_concat_partition(nu, tail), n - l, m - p),
+                sign,
+            ))
         for u_vars, v_vars in ordered_splits(ys, p):
             prefactor = (
                 _delta2(v_vars, s_vars)
                 * _delta2(t_vars, u_vars)
                 / (_delta2(v_vars, u_vars) * _delta2(t_vars, s_vars))
             )
-            for mu, nu, sign in fiber:
-                shifted = canonical(
-                    tuple(part(mu, j) - (m - k) for j in range(1, l - p + 1))
-                )
-                total += (
-                    prefactor
-                    * sign
-                    * ls_det(shifted, s_vars, u_vars)
-                    * ls_det(_concat_partition(nu, tail), t_vars, v_vars)
-                )
+            terms.append((prefactor, u_vars, v_vars, entries))
+    vals = iter(_ls_det_many([
+        item
+        for _, u_vars, v_vars, entries in terms
+        for left, right, _ in entries
+        for item in ((left, s_vars, u_vars), (right, t_vars, v_vars))
+    ]))
+    total = 0j
+    for prefactor, _, _, entries in terms:
+        for _, _, sign in entries:
+            total += prefactor * sign * next(vals) * next(vals)
     return total
-

@@ -215,22 +215,34 @@ def basis_eval(kind: str, lam, xs) -> complex:
 
 def schur_det(lam, xs, eps: float = DISTINCT_EPS) -> complex:
     """Schur polynomial as a ratio of the generalized Vandermonde to Delta."""
-    lam = canonical(lam)
-    xs = as_varset(xs)
+    return _schur_det_many((lam,), as_varset(xs), eps)[0]
+
+
+def _schur_det_many(lams, xs: VarSet, eps: float = DISTINCT_EPS) -> list[complex]:
+    """schur_det of every lam at one variable set, with one stacked determinant.
+
+    The n x n matrices [x_i**(lam_j + n - j)] go to one ``np.linalg.det``
+    call, which factors each matrix of the stack as it would factor it alone.
+    """
+    lams = [canonical(lam) for lam in lams]
     n = len(xs)
-    if len(lam) > n:
-        return 0j
-    if n == 0:
-        return 1.0 + 0j
+    out = [0j if len(lam) > n else 1.0 + 0j for lam in lams]
+    live = [i for i, lam in enumerate(lams) if len(lam) <= n]
+    if n == 0 or not live:
+        return out
     if not _distinct(xs, eps):
         raise CoincidentVariablesError(
             "variables closer than distinctness threshold; use schur_comb"
         )
-    mat = np.array(
-        [[x ** (part(lam, j) + n - j) for j in range(1, n + 1)] for x in xs],
-        dtype=complex,
-    )
-    return complex(np.linalg.det(mat) / _delta(xs))
+    mats = [
+        [[x ** (part(lams[i], j) + n - j) for j in range(1, n + 1)] for x in xs]
+        for i in live
+    ]
+    dets = np.linalg.det(np.array(mats, dtype=complex))
+    delta_x = _delta(xs)
+    for i, det in zip(live, dets):
+        out[i] = complex(det / delta_x)
+    return out
 
 
 def _branching_plan(targets, k: int):
@@ -465,19 +477,40 @@ def ls_det(lam, xs, ys, eps: float = DISTINCT_EPS) -> complex:
     """
     xs, ys = as_varset(xs), as_varset(ys)
     plan = _ls_det_plan(tuple(map(int, lam)), len(xs), len(ys))
-    if plan is None:
-        return 0j
-    if not _distinct(xs + ys, eps):
-        raise CoincidentVariablesError(
-            "X union Y has coincident variables; use ls_comb"
-        )
-    dim, x_exps, y_exps, sign = plan
-    # rows [1/(x - y) | x^a] for x in X, then [y^b | 0] for each exponent b
-    rows = [[1 / (x - y) for y in ys] + [x ** e for e in x_exps] for x in xs]
-    pad = [0j] * (dim - len(ys))
-    rows += [[y ** e for y in ys] + pad for e in y_exps]
-    det = complex(np.linalg.det(np.array(rows, dtype=complex).reshape(dim, dim)))
-    return sign * _delta2(ys, xs) / (_delta(xs) * _delta(ys)) * det
+    return _ls_det_many(((plan, xs, ys),), eps)[0]
+
+
+def _ls_det_many(items, eps: float = DISTINCT_EPS) -> list[complex]:
+    """ls_det of every (plan, xs, ys) item, one determinant call per dimension.
+
+    Each plan is an ``_ls_det_plan`` entry for the item's variable counts.
+    The matrices of one dimension go to one ``np.linalg.det`` call on a
+    stack, which factors each matrix as it would factor it alone, so every
+    value is the one-item value.
+    """
+    out = [0j] * len(items)
+    stacks = {}  # dim -> (item indices, matrices)
+    for i, (plan, xs, ys) in enumerate(items):
+        if plan is None:
+            continue
+        if not _distinct(xs + ys, eps):
+            raise CoincidentVariablesError(
+                "X union Y has coincident variables; use ls_comb"
+            )
+        dim, x_exps, y_exps, _ = plan
+        # rows [1/(x - y) | x^a] for x in X, then [y^b | 0] for each exponent b
+        rows = [[1 / (x - y) for y in ys] + [x ** e for e in x_exps] for x in xs]
+        pad = [0j] * (dim - len(ys))
+        rows += [[y ** e for y in ys] + pad for e in y_exps]
+        where, mats = stacks.setdefault(dim, ([], []))
+        where.append(i)
+        mats.append(rows)
+    for dim, (where, mats) in stacks.items():
+        dets = np.linalg.det(np.array(mats, dtype=complex).reshape(len(mats), dim, dim))
+        for i, det in zip(where, dets.tolist()):
+            (_, _, _, sign), xs, ys = items[i]
+            out[i] = sign * _delta2(ys, xs) / (_delta(xs) * _delta(ys)) * det
+    return out
 
 
 @lru_cache(maxsize=1 << 12)

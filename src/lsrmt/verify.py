@@ -41,6 +41,9 @@ from .schur_algebra import (
     mn_negative,
 )
 from .symfunc import (
+    _ls_det_many,
+    _ls_det_plan,
+    _schur_det_many,
     basis_eval,
     delta2,
     ls_comb,
@@ -60,12 +63,16 @@ def random_points(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
     """Complex points in an annulus, pairwise separated from each other and avoid."""
     out, taken = [], list(avoid)
     while len(out) < count:
-        radius = rng.uniform(rmin, rmax)
-        angle = rng.uniform(0, 2 * np.pi)
-        z = complex(radius * np.cos(angle), radius * np.sin(angle))
-        if all(abs(z - w) >= min_sep for w in taken):
-            out.append(z)
-            taken.append(z)
+        # one (radius, angle) pair per missing point: the pairs, and their
+        # scaling, that point-by-point rng.uniform draws would give
+        u = rng.random(2 * (count - len(out))).tolist()
+        for u_radius, u_angle in zip(u[::2], u[1::2]):
+            radius = rmin + (rmax - rmin) * u_radius
+            angle = 2 * np.pi * u_angle
+            z = complex(radius * np.cos(angle), radius * np.sin(angle))
+            if all(abs(z - w) >= min_sep for w in taken):
+                out.append(z)
+                taken.append(z)
     return tuple(out)
 
 
@@ -103,17 +110,21 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         lam = random_partition(rng, 6)
         xs = random_points(rng, n)
         ys = random_points(rng, m, avoid=xs)
-        base = ls_det(lam, xs, ys)
+        a = complex(*rng.uniform(0.5, 1.2, size=2))
+        perm_x = tuple(xs[i] for i in rng.permutation(n))
+        perm_y = tuple(ys[i] for i in rng.permutation(m))
+        plan = _ls_det_plan(lam, n, m)
+        base, scaled, permuted = _ls_det_many((
+            (plan, xs, ys),
+            (plan, tuple(a * x for x in xs), tuple(a * y for y in ys)),
+            (plan, perm_x, perm_y),
+        ))
 
         # homogeneity: LS(-aX; aY) = a^{|lam|} LS(-X; Y)
-        a = complex(*rng.uniform(0.5, 1.2, size=2))
-        scaled = ls_det(lam, tuple(a * x for x in xs), tuple(a * y for y in ys))
         record("homogeneity", rel_err(scaled, a ** sum(lam) * base), {"lam": list(lam)})
 
         # double symmetry under independent permutations
-        perm_x = tuple(xs[i] for i in rng.permutation(n))
-        perm_y = tuple(ys[i] for i in rng.permutation(m))
-        record("double-symmetry", rel_err(ls_det(lam, perm_x, perm_y), base), {"lam": list(lam)})
+        record("double-symmetry", rel_err(permuted, base), {"lam": list(lam)})
 
         # restriction: appending zero changes nothing (combinatorial route)
         comb = ls_comb(lam, neg(xs), ys)
@@ -297,17 +308,24 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
         if err > tol:
             failures.append({"check": "mn-negative-lambda", "mu": list(mu), "lam": list(lam), "err": err})
 
-    # MN for Littlewood-Schur, |mu| <= 6, k <= 4
+    # MN for Littlewood-Schur, |mu| <= 6, k <= 4, at one (X, Y): each shape once
     xs = random_points(rng, 2)
     ys = random_points(rng, 2, avoid=xs)
+    ls_memo = {}
+
+    def ls_at(lam):
+        if lam not in ls_memo:
+            ls_memo[lam] = ls_comb(lam, xs, ys)
+        return ls_memo[lam]
+
     for mu in partitions_up_to(6):
         for k in range(1, 5):
             factor = basis_eval("powersum", (k,), xs) + (-1) ** (k - 1) * basis_eval(
                 "powersum", (k,), ys
             )
-            lhs = ls_comb(mu, xs, ys) * factor
+            lhs = ls_at(mu) * factor
             rhs = sum(
-                (-1) ** s.height * ls_comb(s.end, xs, ys)
+                (-1) ** s.height * ls_at(s.end)
                 for s in ribbons_added(mu, k)
             )
             err = rel_err(lhs, rhs)
@@ -331,9 +349,10 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
         for x in xs:
             for y in ys:
                 closed /= 1 - x * y
+        pool = partition_pool(40, max_len=min(n, m))
         partial = 0j
-        for lam in partition_pool(40, max_len=min(n, m)):
-            partial += schur_det(lam, xs) * schur_det(lam, ys)
+        for sx, sy in zip(_schur_det_many(pool, xs), _schur_det_many(pool, ys)):
+            partial += sx * sy
         err = abs(partial - closed) / max(1.0, abs(closed))
         max_err = max(max_err, err)
         if err > tol:
@@ -348,9 +367,12 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
         for x in xs:
             for y in ys:
                 closed *= 1 + x * y
+        pool = partition_pool(m * n, max_part=m, max_len=n)
         total = sum(
-            schur_det(lam, xs) * schur_det(conjugate(lam), ys)
-            for lam in partition_pool(m * n, max_part=m, max_len=n)
+            sx * sy
+            for sx, sy in zip(
+                _schur_det_many(pool, xs), _schur_det_many([conjugate(lam) for lam in pool], ys)
+            )
         )
         err = rel_err(total, closed)
         max_err = max(max_err, err)

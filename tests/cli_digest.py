@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 33 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 43 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  Run it on two checkouts and compare the lines:
 
@@ -21,12 +21,17 @@ import io
 from lsrmt.cli import main
 
 SUITES = ("ls-properties", "overlap-1", "overlap-2", "mn-all", "cauchy", "recipe-consistency")
+# the benchmark's cli_identities instance counts (perfbench/workloads.py)
+BENCH_INSTANCES = {"overlap-1": 250, "overlap-2": 200, "ls-properties": 100, "cauchy": 4,
+                   "mn-all": 5}
 MC_SMALL = ["--N", "4", "--M", "2000", "--seed", "5"]
 MC_LOGDER = ["--N", "20", "--M", "1000", "--seed", "2", "--eps", "0.4", "--phi", "0.2+0.1j"]
 
 INVOCATIONS = (
     [["verify", suite, "--seed", "0"] for suite in SUITES]
     + [["verify", "recipe-consistency", "--seed", "3"]]
+    + [["verify", suite, "--seed", str(seed), "--instances", str(count)]
+       for seed in (1, 2) for suite, count in BENCH_INSTANCES.items()]
     + [["mc", "--estimator", est, *MC_SMALL] for est in (
         "one", "trace", "abs_trace_sq", "abs_char_sq", "logder_pair", "completed_logder_pair",
         "explicit_sum", "schur_pair")]

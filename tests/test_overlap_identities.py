@@ -12,6 +12,7 @@ from lsrmt.partitions import (
     mn_index,
     overlap,
     overlap_fiber,
+    part,
     partitions_up_to,
     rectangle,
     walks_in_rectangle,
@@ -219,3 +220,71 @@ def test_complement_schur_check_cases():
 def test_subpartition_indexed_form():
     report = verify_subpartition_form()
     assert report["pass"], report
+
+
+def _first_overlap_split_by_split(mu, nu, l, tail, xs, ys):
+    """first_overlap_rhs with two ls_det calls per split, as before stacking."""
+    n, m = len(xs), len(ys)
+    nu_full = canonical(nu) + canonical(tail)
+    k = mn_index(nu_full, m, n - l)
+    if k < 0:
+        return 0j
+    b = n - l - k
+    ov = overlap(mu, canonical(nu_full[:b]), l, b)
+    if not ov.finite:
+        return 0j
+    shifted_mu = canonical(tuple(part(mu, j) + k for j in range(1, l + 1)))
+    total = 0j
+    for s, t in ordered_splits(xs, l):
+        total += ov.sign * ls_det(shifted_mu, s, ys) * ls_det(nu_full, t, ys) / delta2(t, s)
+    return total
+
+
+def _second_overlap_split_by_split(lam, s_vars, t_vars, ys):
+    """second_overlap_rhs with shapes and ls_det calls per split, as before stacking."""
+    l, m = len(s_vars), len(ys)
+    n = l + len(t_vars)
+    k = mn_index(lam, m, n)
+    if k < 0:
+        return 0j
+    head, tail = canonical(lam[: n - k]), canonical(lam[n - k:])
+    total = 0j
+    for p in range(0, min(l, m) + 1):
+        fiber = overlap_fiber(head, l - p, n - k - l + p)
+        for u_vars, v_vars in ordered_splits(ys, p):
+            prefactor = (
+                delta2(v_vars, s_vars)
+                * delta2(t_vars, u_vars)
+                / (delta2(v_vars, u_vars) * delta2(t_vars, s_vars))
+            )
+            for mu, nu, sign in fiber:
+                shifted = canonical(tuple(part(mu, j) - (m - k) for j in range(1, l - p + 1)))
+                total += (
+                    prefactor
+                    * sign
+                    * ls_det(shifted, s_vars, u_vars)
+                    * ls_det(canonical(nu) + tail, t_vars, v_vars)
+                )
+    return total
+
+
+def test_stacked_overlap_sums_match_split_by_split():
+    rng = np.random.default_rng(12)
+    first = second = 0
+    while first < 150 or second < 150:
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        lam = random_partition(rng, 10, max_len=n + m)
+        k = mn_index(lam, m, n)
+        if k < 0:
+            continue
+        l = int(rng.integers(0, n - k + 1))
+        pts = random_points(rng, n + m)
+        xs, ys = pts[:n], pts[n:]
+        for mu, nu, _ in overlap_fiber(canonical(lam[: n - k]), l, n - k - l):
+            tail = canonical(lam[n - k:])
+            want = _first_overlap_split_by_split(mu, nu, l, tail, xs, ys)
+            assert first_overlap_rhs(mu, nu, l, tail, xs, ys) == want, (lam, mu, nu, l)
+            first += 1
+        want = _second_overlap_split_by_split(lam, xs[:l], xs[l:], ys)
+        assert second_overlap_rhs(lam, xs[:l], xs[l:], ys) == want, (lam, l, m)
+        second += 1

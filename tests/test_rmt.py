@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lsrmt.haar import make_estimator, weyl_quadrature
 from lsrmt.rmt import (
     RecipeInput,
     catalog_function,
@@ -152,6 +153,23 @@ def test_completed_logders_main_cases():
     got = completed_logders_main((eps,), (phi,), big_n)
     want = big_n ** 2 / 4 + eps * phi / (1 - eps * phi) ** 2
     assert rel_err(got, want) < 1e-10
+
+
+def test_logder_closed_forms_are_large_n_main_terms():
+    # exact U(N) means by Weyl quadrature: 0.0989011, 0.1078022, 0.1086033 at
+    # N = 1, 2, 3 against 0.1086825 for every N; the gap is (eps phi)^N times
+    # the main term, for the plain and the completed pair alike
+    eps = phi = 0.3
+    main = eps * phi * logders_main((eps,), (phi,))
+    assert rel_err(main, eps * phi / (1 - eps * phi) ** 2) < 1e-12
+    for big_n in (1, 2, 3):
+        gap = (eps * phi) ** big_n * main
+        plain = make_estimator("logder_pair", big_n, eps=eps, phi=phi)
+        completed = make_estimator("completed_logder_pair", big_n, eps=eps, phi=phi)
+        assert plain.prediction == main
+        assert abs(plain.prediction - weyl_quadrature(plain, big_n) - gap) < 1e-12, big_n
+        assert abs(completed.prediction - weyl_quadrature(completed, big_n) - gap) < 1e-12, big_n
+        assert abs(gap) > 7e-5
 
 
 def test_completed_logders_binomial_consistency():

@@ -13,6 +13,7 @@ from lsrmt.partitions import (
     mn_index,
     part,
     partitions_of,
+    partition_pool,
     partitions_up_to,
     rectangle,
     size,
@@ -20,6 +21,9 @@ from lsrmt.partitions import (
 )
 from lsrmt.symfunc import (
     _horizontal_strip_predecessors,
+    _ls_det_many,
+    _ls_det_plan,
+    _schur_det_many,
     CoincidentVariablesError,
     SizeCapError,
     basis_eval,
@@ -516,3 +520,59 @@ def test_branching_plans_match_recursive_rule():
         for lam in partitions_up_to(8):
             assert schur_comb(lam, xs) == _schur_recursive(lam, xs, len(xs), {}), (lam, xs)
             assert ls_comb(lam, xs, ys) == _ls_comb_recursive(lam, xs, ys), (lam, xs, ys)
+
+
+def _schur_det_one_matrix(lam, xs):
+    """schur_det as one determinant call per shape, as it was before stacking."""
+    n = len(xs)
+    if len(lam) > n:
+        return 0j
+    if n == 0:
+        return 1.0 + 0j
+    mat = np.array(
+        [[x ** (part(lam, j) + n - j) for j in range(1, n + 1)] for x in xs],
+        dtype=complex,
+    )
+    return complex(np.linalg.det(mat) / delta(xs))
+
+
+def test_ls_det_stack_matches_one_matrix_at_a_time():
+    # one mixed stack: None plans (negative index), dim-0 items, dims 1..6
+    rng = np.random.default_rng(26)
+    items, want = [], []
+    for n in range(5):
+        for m in range(5):
+            pts = random_points(rng, n + m)
+            xs, ys = pts[:n], pts[n:]
+            for lam in partitions_up_to(8):
+                items.append((_ls_det_plan(lam, n, m), xs, ys))
+                want.append(_ls_det_by_elements(lam, xs, ys))
+    plans = [plan for plan, _, _ in items]
+    assert None in plans
+    assert {plan[0] for plan in plans if plan} == set(range(7))
+    assert _ls_det_many(items) == want
+
+
+def test_schur_det_stack_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(27)
+    pool = partition_pool(8)
+    for n in range(7):
+        xs = random_points(rng, n)
+        want = [_schur_det_one_matrix(lam, xs) for lam in pool]
+        assert _schur_det_many(pool, xs) == want, n
+        assert [schur_det(lam, xs) for lam in pool] == want, n
+
+
+def test_one_coincident_item_fails_the_whole_stack():
+    rng = np.random.default_rng(28)
+    pts = random_points(rng, 5)
+    xs, ys = pts[:3], pts[3:]
+    good = [(_ls_det_plan(lam, 3, 2), xs, ys) for lam in partitions_up_to(4)]
+    twin = ((xs[0], xs[0] + 1e-9, xs[2]), ys)
+    with pytest.raises(CoincidentVariablesError):
+        _ls_det_many(good[:4] + [(_ls_det_plan((2, 1), 3, 2), *twin)] + good[4:])
+    # an item whose index is negative is zero without a distinctness check
+    assert _ls_det_plan((3, 3, 3, 3), 3, 2) is None
+    assert _ls_det_many(good + [(None, *twin)])[-1] == 0
+    with pytest.raises(CoincidentVariablesError):
+        _schur_det_many([(5,), (1,), ()], twin[0])
