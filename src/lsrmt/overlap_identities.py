@@ -33,7 +33,7 @@ def first_overlap_rhs(mu, nu, l: int, lam_tail, xs, ys) -> complex:
     splits of X into l and n-l variables.  Returns 0 when the overlap is
     infinite (both sides of the identity vanish) or the index is negative.
     """
-    mu, nu = canonical(mu), canonical(nu)
+    mu, nu, lam_tail = canonical(mu), canonical(nu), canonical(lam_tail)
     xs, ys = as_varset(xs), as_varset(ys)
     n, m = len(xs), len(ys)
     if not 0 <= l <= n:
@@ -49,8 +49,7 @@ def first_overlap_rhs(mu, nu, l: int, lam_tail, xs, ys) -> complex:
         raise ValueError("l exceeds n - k; identity does not apply")
     if l > 0 and part(mu, l) + k < m:
         raise ValueError("mu + <k^l> must have (m, l)-index zero")
-    head = canonical(nu_full[:b])
-    ov = overlap(mu, head, l, b)
+    ov = overlap(mu, nu_full[:b], l, b)
     if not ov.finite:
         return 0j
     shifted_mu = canonical(tuple(part(mu, j) + k for j in range(1, l + 1)))
@@ -67,22 +66,10 @@ def first_overlap_rhs(mu, nu, l: int, lam_tail, xs, ys) -> complex:
 
 
 def _concat_partition(nu, tail):
-    nu, tail = canonical(nu), canonical(tail)
+    """nu followed by tail, both canonical, if that is a partition."""
     if tail and nu and nu[-1] < tail[0]:
         raise ValueError(f"{nu} followed by {tail} is not a partition")
     return nu + tail
-
-
-def first_overlap_assembled(mu, nu, l: int, lam_tail, m: int, n: int):
-    """The partition whose LS value the first overlap split-sum equals."""
-    mu, nu = canonical(mu), canonical(nu)
-    nu_full = _concat_partition(nu, lam_tail)
-    k = mn_index(nu_full, m, n - l)
-    b = n - l - k
-    ov = overlap(mu, canonical(nu_full[:b]), l, b)
-    if not ov.finite:
-        return None
-    return _concat_partition(ov.result, canonical(nu_full[b:]))
 
 
 def second_overlap_rhs(lam, s_vars, t_vars, ys) -> complex:
@@ -102,8 +89,7 @@ def second_overlap_rhs(lam, s_vars, t_vars, ys) -> complex:
         return 0j
     if l > n - k:
         raise ValueError("need l <= n - k")
-    head = canonical(lam[: n - k])
-    tail = canonical(lam[n - k:])
+    head, tail = lam[: n - k], lam[n - k:]
     # per split of Y: its prefactor and the (left plan, right plan, sign) of
     # every fiber entry, whose shapes depend on the split size only
     terms = []

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 
 Partition = tuple[int, ...]
@@ -71,33 +69,10 @@ def multiplicities(lam) -> dict[int, int]:
     return mult
 
 
-def z_stat(lam) -> Fraction:
-    """prod_i i^{m_i} m_i! over the part multiplicities m_i."""
-    z = Fraction(1)
-    for i, m in multiplicities(lam).items():
-        z *= Fraction(i) ** m * factorial(m)
-    return z
-
-
 def add(lam, mu) -> Partition:
     """Elementwise sum of (zero-padded) part sequences."""
     n = max(len(lam), len(mu))
     return canonical(tuple(part(lam, j) + part(mu, j) for j in range(1, n + 1)))
-
-
-def union(lam, mu) -> Partition:
-    """Multiset union, sorted decreasingly."""
-    return canonical(tuple(sorted(list(lam) + list(mu), reverse=True)))
-
-
-def rectangle(m: int, n: int) -> Partition:
-    """The partition <m^n>: n parts equal to m."""
-    return canonical((m,) * n)
-
-
-def staircase(n: int) -> Partition:
-    """rho_n = (n-1, ..., 1, 0)."""
-    return tuple(range(n - 1, 0, -1))
 
 
 def complement(lam, m: int, n: int) -> Partition:
@@ -162,52 +137,7 @@ def subdiagrams(lam):
     yield from rows(0, lam[0])
 
 
-# -- skew shapes: strips and ribbons ---------------------------------------
-
-def is_horizontal_strip(lam, mu) -> bool:
-    """lam/mu has at most one box per column."""
-    if not contains(lam, mu):
-        return False
-    return all(part(lam, j + 1) <= part(mu, j) for j in range(1, len(lam) + 1))
-
-
-def skew_boxes(lam, mu) -> list[tuple[int, int]]:
-    """Boxes (col, row) of lam/mu, 1-based."""
-    return [
-        (i, j)
-        for j in range(1, len(lam) + 1)
-        for i in range(part(mu, j) + 1, part(lam, j) + 1)
-    ]
-
-
-def ribbon_height(lam, mu) -> int | None:
-    """Height of the ribbon lam/mu, or None if the skew shape is no ribbon.
-
-    A ribbon is edgewise connected and contains no 2x2 block; its height is
-    one less than the number of rows it occupies.
-    """
-    lam, mu = canonical(lam), canonical(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{mu} not contained in {lam}")
-    boxes = skew_boxes(lam, mu)
-    if not boxes:
-        return None
-    cells = set(boxes)
-    for (i, j) in cells:
-        if {(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells:
-            return None  # 2x2 block
-    seen = {boxes[0]}
-    frontier = [boxes[0]]
-    while frontier:
-        i, j = frontier.pop()
-        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    if len(seen) != len(cells):
-        return None  # disconnected
-    return len({j for _, j in cells}) - 1
-
+# -- ribbons ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RibbonStep:
@@ -223,7 +153,7 @@ def _beta(lam, n: int) -> list[int]:
     return [part(lam, i) + n - i for i in range(1, n + 1)]
 
 
-def ribbons_added(mu, k: int, max_len: int | None = None) -> list[RibbonStep]:
+def ribbons_added(mu, k: int) -> list[RibbonStep]:
     """All lam with lam/mu a k-ribbon, via the sorted-sequence characterization.
 
     Adding a k-ribbon is adding k to one entry of mu + rho_n and resorting;
@@ -233,9 +163,7 @@ def ribbons_added(mu, k: int, max_len: int | None = None) -> list[RibbonStep]:
     if k < 1:
         raise ValueError("ribbon size must be >= 1")
     mu = canonical(mu)
-    n = len(mu) + k if max_len is None else max_len
-    if n < len(mu):
-        return []
+    n = len(mu) + k
     beta = _beta(mu, n)
     present = set(beta)
     out = []

@@ -95,16 +95,6 @@ def moment_unitary(k: int, big_n: int) -> Fraction:
     return out
 
 
-def moment_leading(k: int) -> Fraction:
-    """Leading coefficient f_k of the moment as N -> infinity."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = Fraction(1)
-    for j in range(k):
-        out *= Fraction(factorial(j), factorial(j + k))
-    return out
-
-
 def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
     """Average of products of characteristic polynomials over U(N).
 

@@ -1,29 +1,21 @@
-"""Exact operator algebra on the Schur and power-sum bases.
+"""Exact operator algebra on the Schur basis.
 
 Expansions are finite maps from partitions to rationals; all arithmetic is
-exact.  The product operator p_k and the derivation operator d/dp_k act on
+exact.  The product operator p_k and the derivation operator k d/dp_k act on
 the Schur basis through ribbon addition and removal (Murnaghan-Nakayama and
-its dual); basis conversion goes through the adjointness of the two.
+its dual), and the Hall inner product makes them adjoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import (
-    Partition,
-    canonical,
-    multiplicities,
-    partitions_of,
-    ribbons_added,
-    ribbons_removed,
-    z_stat,
-)
-from .symfunc import as_varset, schur_det
+from .partitions import Partition, canonical, ribbons_added, ribbons_removed
+from .symfunc import as_varset, basis_eval, schur_comb, schur_det
 
 
-class Expansion:
-    """Finite linear combination over a partition-indexed basis."""
+class SchurExpansion:
+    """Linear combination of Schur functions with exact coefficients."""
 
     __slots__ = ("terms",)
 
@@ -53,13 +45,6 @@ class Expansion:
             out.add_term(lam, c)
         return out
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return type(self)({lam: c * v for lam, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms
 
@@ -80,27 +65,11 @@ class Expansion:
             for lam, c in sorted(self.terms.items())
         ]
 
-
-class SchurExpansion(Expansion):
-    """Linear combination of Schur functions with exact coefficients."""
-
-    def evaluate(self, xs, schur=schur_det) -> complex:
-        xs = as_varset(xs)
-        return sum(
-            (complex(c) * schur(lam, xs) for lam, c in self.terms.items()), 0j
-        )
-
-
-class PowerSumExpansion(Expansion):
-    """Linear combination of power-sum monomials p_lambda."""
-
     def evaluate(self, xs) -> complex:
-        from .symfunc import basis_eval
-
+        """The expansion's value at xs, each Schur function by the tableau route."""
         xs = as_varset(xs)
         return sum(
-            (complex(c) * basis_eval("powersum", lam, xs) for lam, c in self.terms.items()),
-            0j,
+            (complex(c) * schur_comb(lam, xs) for lam, c in self.terms.items()), 0j
         )
 
 
@@ -130,92 +99,9 @@ def mn_derive(k: int, f: SchurExpansion) -> SchurExpansion:
     return out
 
 
-def hall_inner(f: Expansion, g: Expansion) -> Fraction:
-    """Hall inner product; orthonormal on Schur, <p_lam, p_mu> = z_lam delta."""
-    if isinstance(f, PowerSumExpansion) != isinstance(g, PowerSumExpansion):
-        raise TypeError("both expansions must live in the same basis")
-    if isinstance(f, PowerSumExpansion):
-        return sum(
-            (c * g[lam] * z_stat(lam) for lam, c in f.terms.items()), Fraction(0)
-        )
+def hall_inner(f: SchurExpansion, g: SchurExpansion) -> Fraction:
+    """Hall inner product, for which the Schur functions are orthonormal."""
     return sum((c * g[lam] for lam, c in f.terms.items()), Fraction(0))
-
-
-def p_multiply(k: int, g: PowerSumExpansion) -> PowerSumExpansion:
-    """p_k as a product operator on the power-sum basis."""
-    out = PowerSumExpansion()
-    for mu, c in g.terms.items():
-        out.add_term(canonical(sorted(mu + (k,), reverse=True)), c)
-    return out
-
-
-def p_derive(k: int, g: PowerSumExpansion) -> PowerSumExpansion:
-    """d/dp_k on the power-sum basis."""
-    out = PowerSumExpansion()
-    for mu, c in g.terms.items():
-        m = sum(1 for p in mu if p == k)
-        if m:
-            rest = list(mu)
-            rest.remove(k)
-            out.add_term(canonical(rest), c * m)
-    return out
-
-
-def powersum_reduce(mu, nu) -> tuple[Fraction, Partition | None]:
-    """d/dp_mu applied to p_nu: coefficient and remainder partition.
-
-    Returns (0, None) unless mu is a sub-multiset of nu; otherwise the
-    coefficient is prod_i m_i(nu)! / m_i(nu minus mu)!.
-    """
-    mu, nu = canonical(mu), canonical(nu)
-    mult_nu = multiplicities(nu)
-    mult_mu = multiplicities(mu)
-    if any(mult_mu[i] > mult_nu.get(i, 0) for i in mult_mu):
-        return Fraction(0), None
-    coeff = Fraction(1)
-    remainder = []
-    for i, m in mult_nu.items():
-        taken = mult_mu.get(i, 0)
-        for j in range(m - taken + 1, m + 1):
-            coeff *= j
-        remainder.extend([i] * (m - taken))
-    return coeff, canonical(sorted(remainder, reverse=True))
-
-
-def schur_to_powersum(f: SchurExpansion) -> PowerSumExpansion:
-    """Exact expansion in the power-sum basis via iterated mn_derive.
-
-    The coefficient of p_mu is <f, p_mu> / z_mu, and <f, p_mu> is the
-    coefficient of the empty Schur function after applying the chain of
-    almost-adjoint operators mu_i d/dp_{mu_i}.
-    """
-    out = PowerSumExpansion()
-    degrees = {sum(lam) for lam in f.terms}
-    for d in sorted(degrees):
-        graded = SchurExpansion(
-            {lam: c for lam, c in f.terms.items() if sum(lam) == d}
-        )
-        for mu in partitions_of(d):
-            g = graded
-            for p in mu:
-                g = mn_derive(p, g)
-                if not g:
-                    break
-            coeff = g[()] / z_stat(mu)
-            if coeff:
-                out.add_term(mu, coeff)
-    return out
-
-
-def powersum_to_schur(g: PowerSumExpansion) -> SchurExpansion:
-    """Exact expansion in the Schur basis by multiplying ribbons onto s_()."""
-    out = SchurExpansion()
-    for mu, c in g.terms.items():
-        acc = SchurExpansion({(): c})
-        for p in mu:
-            acc = mn_multiply(p, acc)
-        out = out + acc
-    return out
 
 
 def mn_negative(mu, k: int, xs, tol: float = 1e-9) -> complex:
@@ -226,8 +112,6 @@ def mn_negative(mu, k: int, xs, tol: float = 1e-9) -> complex:
     tol (relative, scaled by max(1, |lhs|, |rhs|)) and the common value is
     returned.
     """
-    from .symfunc import basis_eval
-
     mu = canonical(mu)
     xs = as_varset(xs)
     n = len(xs)

@@ -44,15 +44,6 @@ def as_varset(values) -> VarSet:
     return tuple(map(complex, values))
 
 
-def pairwise_distinct(values, eps: float = DISTINCT_EPS) -> bool:
-    return _distinct(as_varset(values), eps)
-
-
-def delta(xs) -> complex:
-    """Vandermonde product prod_{i<j} (x_i - x_j)."""
-    return _delta(as_varset(xs))
-
-
 def delta2(xs, ys) -> complex:
     """Pairwise difference product prod_{x in X, y in Y} (x - y)."""
     return _delta2(as_varset(xs), as_varset(ys))
@@ -61,9 +52,9 @@ def delta2(xs, ys) -> complex:
 # The three kernels below take variable sets that are already VarSets, so
 # callers that normalized their inputs once do not pay for it per product.
 
-def _distinct(vals: VarSet, eps: float = DISTINCT_EPS) -> bool:
+def _distinct(vals: VarSet) -> bool:
     return all(
-        abs(a - b) >= eps for a, b in itertools.combinations(vals, 2)
+        abs(a - b) >= DISTINCT_EPS for a, b in itertools.combinations(vals, 2)
     )
 
 
@@ -162,45 +153,10 @@ def powersum_r(r: int, xs) -> complex:
     return sum((x ** r for x in as_varset(xs)), 0j)
 
 
-def elementary_r(r: int, xs) -> complex:
-    xs = as_varset(xs)
-    if r == 0:
-        return 1.0 + 0j
-    if r > len(xs):
-        return 0j
-    return sum(
-        (e_prod(sub) for sub in itertools.combinations(xs, r)), 0j
-    )
-
-
-def complete_r(r: int, xs) -> complex:
-    xs = as_varset(xs)
-    if r == 0:
-        return 1.0 + 0j
-    if not xs:
-        return 0j
-    return sum(
-        (e_prod(sub) for sub in itertools.combinations_with_replacement(xs, r)),
-        0j,
-    )
-
-
 def basis_eval(kind: str, lam, xs) -> complex:
-    """Evaluate m/e/h/p bases and the negative power sum p_{-lambda}."""
+    """The power sum p_lambda ("powersum") or p_{-lambda} ("powersum_neg")."""
     lam = canonical(lam)
     xs = as_varset(xs)
-    if kind == "monomial":
-        return monomial_eval(lam, xs)
-    if kind == "elementary":
-        out = 1.0 + 0j
-        for p in lam:
-            out *= elementary_r(p, xs)
-        return out
-    if kind == "complete":
-        out = 1.0 + 0j
-        for p in lam:
-            out *= complete_r(p, xs)
-        return out
     if kind == "powersum":
         out = 1.0 + 0j
         for p in lam:
@@ -213,24 +169,23 @@ def basis_eval(kind: str, lam, xs) -> complex:
 
 # -- Schur functions ---------------------------------------------------------
 
-def schur_det(lam, xs, eps: float = DISTINCT_EPS) -> complex:
+def schur_det(lam, xs) -> complex:
     """Schur polynomial as a ratio of the generalized Vandermonde to Delta."""
-    return _schur_det_many((lam,), as_varset(xs), eps)[0]
+    return _schur_det_many((canonical(lam),), as_varset(xs))[0]
 
 
-def _schur_det_many(lams, xs: VarSet, eps: float = DISTINCT_EPS) -> list[complex]:
-    """schur_det of every lam at one variable set, with one stacked determinant.
+def _schur_det_many(lams, xs: VarSet) -> list[complex]:
+    """schur_det of every canonical lam at one variable set, with one stacked determinant.
 
     The n x n matrices [x_i**(lam_j + n - j)] go to one ``np.linalg.det``
     call, which factors each matrix of the stack as it would factor it alone.
     """
-    lams = [canonical(lam) for lam in lams]
     n = len(xs)
     out = [0j if len(lam) > n else 1.0 + 0j for lam in lams]
     live = [i for i, lam in enumerate(lams) if len(lam) <= n]
     if n == 0 or not live:
         return out
-    if not _distinct(xs, eps):
+    if not _distinct(xs):
         raise CoincidentVariablesError(
             "variables closer than distinctness threshold; use schur_comb"
         )
@@ -351,15 +306,15 @@ def _schur_comb_plan(lam, k: int, cap: int):
 # -- Littlewood-Richardson coefficients --------------------------------------
 
 @lru_cache(maxsize=1 << 16)
-def lr_coeff(lam: Partition, mu: Partition, nu: Partition, cap: int = SIZE_CAP) -> int:
+def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient c^lam_{mu nu}.
 
     Counts semistandard skew tableaux of shape lam/nu and content mu whose row
     word (rows read right to left, top to bottom) is a lattice word.
     """
     lam, mu, nu = canonical(lam), canonical(mu), canonical(nu)
-    if size(lam) > cap:
-        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
+    if size(lam) > SIZE_CAP:
+        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {SIZE_CAP}")
     if size(lam) != size(mu) + size(nu):
         return 0
     if not (contains(lam, mu) and contains(lam, nu)):
@@ -403,13 +358,13 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition, cap: int = SIZE_CAP) 
 
 # -- Littlewood-Schur functions ----------------------------------------------
 
-def ls_comb(lam, xs, ys, cap: int = SIZE_CAP) -> complex:
+def ls_comb(lam, xs, ys) -> complex:
     """LS_lambda(X; Y) = sum over (mu, nu) of c^lam_{mu nu} s_mu(X) s_{nu'}(Y).
 
     Valid for arbitrary, even coincident, values.
     """
     xs, ys = as_varset(xs), as_varset(ys)
-    x_levels, y_levels, terms = _ls_comb_plan(tuple(map(int, lam)), len(xs), len(ys), cap)
+    x_levels, y_levels, terms = _ls_comb_plan(tuple(map(int, lam)), len(xs), len(ys))
     x_vals = _branching_values(x_levels, xs)
     y_vals = _branching_values(y_levels, ys)
     total = 0j
@@ -423,7 +378,7 @@ def ls_comb(lam, xs, ys, cap: int = SIZE_CAP) -> complex:
 
 
 @lru_cache(maxsize=1 << 12)
-def _ls_comb_plan(lam, n: int, m: int, cap: int):
+def _ls_comb_plan(lam, n: int, m: int):
     """ls_comb's branching plans in X and in Y and its terms, in summation order.
 
     The terms are ((slot of nu' in Y, ((slot of mu in X, c^lam_{mu nu}),
@@ -432,8 +387,8 @@ def _ls_comb_plan(lam, n: int, m: int, cap: int):
     inside lam with a nonzero coefficient.
     """
     lam = canonical(lam)
-    if size(lam) > cap:
-        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
+    if size(lam) > SIZE_CAP:
+        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {SIZE_CAP}")
     terms = []
     for nu in subdiagrams(lam):
         # s_{nu'}(Y) vanishes unless nu' has at most m rows
@@ -444,7 +399,7 @@ def _ls_comb_plan(lam, n: int, m: int, cap: int):
         for mu in partitions_of(rest, max_len=n):
             if not contains(lam, mu):
                 continue
-            c = lr_coeff(lam, mu, nu, cap=cap)
+            c = lr_coeff(lam, mu, nu)
             if c:
                 row.append((mu, c))
         terms.append((conjugate(nu), tuple(row)))
@@ -467,7 +422,7 @@ def ls_det_sign(lam, m: int, n: int) -> int:
     return -1 if exp % 2 else 1
 
 
-def ls_det(lam, xs, ys, eps: float = DISTINCT_EPS) -> complex:
+def ls_det(lam, xs, ys) -> complex:
     """Determinantal evaluation of LS_lambda(-X; Y).
 
     Computes the value of the Littlewood-Schur function at the negated first
@@ -477,10 +432,10 @@ def ls_det(lam, xs, ys, eps: float = DISTINCT_EPS) -> complex:
     """
     xs, ys = as_varset(xs), as_varset(ys)
     plan = _ls_det_plan(tuple(map(int, lam)), len(xs), len(ys))
-    return _ls_det_many(((plan, xs, ys),), eps)[0]
+    return _ls_det_many(((plan, xs, ys),))[0]
 
 
-def _ls_det_many(items, eps: float = DISTINCT_EPS) -> list[complex]:
+def _ls_det_many(items) -> list[complex]:
     """ls_det of every (plan, xs, ys) item, one determinant call per dimension.
 
     Each plan is an ``_ls_det_plan`` entry for the item's variable counts.
@@ -493,7 +448,7 @@ def _ls_det_many(items, eps: float = DISTINCT_EPS) -> list[complex]:
     for i, (plan, xs, ys) in enumerate(items):
         if plan is None:
             continue
-        if not _distinct(xs + ys, eps):
+        if not _distinct(xs + ys):
             raise CoincidentVariablesError(
                 "X union Y has coincident variables; use ls_comb"
             )
@@ -531,11 +486,11 @@ def _ls_det_plan(lam, n: int, m: int):
     return n + (m - k), x_exps, y_exps, ls_det_sign(lam, m, n)
 
 
-def schur_in_monomials(lam, nvars: int, cap: int = SIZE_CAP) -> dict[Partition, int]:
+def schur_in_monomials(lam, nvars: int) -> dict[Partition, int]:
     """Kostka expansion s_lam = sum_mu K_{lam mu} m_mu restricted to nvars."""
     lam = canonical(lam)
-    if size(lam) > cap:
-        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
+    if size(lam) > SIZE_CAP:
+        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {SIZE_CAP}")
     out: dict[Partition, int] = {}
     for mu in partitions_of(size(lam), max_len=nvars):
         k = lr_kostka(lam, mu)

@@ -31,7 +31,6 @@ from lsrmt.rmt import (
     catalog_symmetric,
     completed_logders_main,
     explicit_formula_rhs,
-    moment_leading,
     moment_unitary,
     ratio_avg,
 )
@@ -49,7 +48,7 @@ from lsrmt.symfunc import (
 from lsrmt.verify import (
     run_suite,
 )
-from util import random_points, rel_err
+from util import moment_leading, random_points, rel_err
 
 
 def conclude(criterion: str, ok: bool, detail: str = ""):

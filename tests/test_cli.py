@@ -117,6 +117,43 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("instances", ["50", "1"])
+def test_recipe_consistency_refuses_other_instance_counts(instances, capsys):
+    # the suite has exactly 3 checks; its report must not claim more or fewer
+    code, payload = run_json(
+        ["verify", "recipe-consistency", "--seed", "3", "--instances", instances], capsys
+    )
+    assert code == 2
+    assert set(payload) == {"schema", "error"}
+
+
+def test_verify_subpartition_passes_at_defaults(capsys):
+    code, payload = run_json(["verify", "subpartition"], capsys)
+    assert code == 0
+    report = payload["report"]
+    assert report["pass"] is True and report["failures"] == []
+    assert report["identity"] == "subpartition-form"
+    assert report["instances"] > 0
+
+
+def test_verify_subpartition_fails_at_impossible_tolerance(capsys):
+    code, payload = run_json(["verify", "subpartition", "--tolerance", "1e-30"], capsys)
+    assert code == 1
+    assert payload["report"]["pass"] is False
+    assert payload["report"]["failures"]
+
+
+def test_verify_subpartition_instances_draw_more_points(capsys):
+    checks = []
+    for instances in ("1", "2"):
+        code, payload = run_json(
+            ["verify", "subpartition", "--seed", "5", "--instances", instances], capsys
+        )
+        assert code == 0
+        checks.append(payload["report"]["instances"])
+    assert checks[1] > checks[0]
+
+
 def test_mc_with_prediction(capsys):
     code, payload = run_json(
         ["mc", "--estimator", "abs_char_sq", "--N", "3", "--M", "2000", "--seed", "42"],

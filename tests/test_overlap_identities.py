@@ -1,10 +1,6 @@
 import numpy as np
 
-from lsrmt.overlap_identities import (
-    first_overlap_assembled,
-    first_overlap_rhs,
-    second_overlap_rhs,
-)
+from lsrmt.overlap_identities import first_overlap_rhs, second_overlap_rhs
 from lsrmt.partitions import (
     canonical,
     complement,
@@ -14,7 +10,6 @@ from lsrmt.partitions import (
     overlap_fiber,
     part,
     partitions_up_to,
-    rectangle,
     walks_in_rectangle,
 )
 from lsrmt.symfunc import (
@@ -108,22 +103,6 @@ def test_first_overlap_matches_assembled_lambda():
     assert report["pass"], report
 
 
-def test_first_overlap_assembled_roundtrip():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 4))
-        lam = random_partition(rng, 8, max_len=n + m)
-        k = mn_index(lam, m, n)
-        if k < 0:
-            continue
-        l = int(rng.integers(0, n - k + 1))
-        head = canonical(lam[: n - k])
-        tail = canonical(lam[n - k:])
-        fiber = overlap_fiber(head, l, n - k - l)
-        mu, nu, _ = fiber[int(rng.integers(len(fiber)))]
-        assert first_overlap_assembled(mu, nu, l, tail, m, n) == lam
-
-
 def test_second_overlap_schur_specialization():
     # Y empty: s_lam(S cup T) = sum over the overlap fiber
     rng = np.random.default_rng(5)
@@ -210,7 +189,7 @@ def test_complement_schur_check_cases():
     rng = np.random.default_rng(9)
     xs = random_points(rng, 2)
     n, m = len(xs), 3
-    for lam in [(), rectangle(3, 2), (2, 1)]:
+    for lam in [(), (3,) * 2, (2, 1)]:
         # s_{complement(lam)}(X) = s_lam(X^{-1}) e(X)^m
         lhs = schur_det(complement(lam, m, n), xs)
         rhs = schur_det(lam, inv(xs)) * e_prod(xs) ** m
@@ -218,7 +197,7 @@ def test_complement_schur_check_cases():
 
 
 def test_subpartition_indexed_form():
-    report = verify_subpartition_form()
+    report = verify_subpartition_form(2024)
     assert report["pass"], report
 
 

@@ -11,7 +11,6 @@ from lsrmt.rmt import (
     completed_logders_main,
     explicit_formula_rhs,
     logders_main,
-    moment_leading,
     moment_unitary,
     poly_geom_tail,
     product_avg,
@@ -19,7 +18,7 @@ from lsrmt.rmt import (
     recipe_main,
 )
 from lsrmt.symfunc import basis_eval, schur_comb, schur_det
-from util import random_points, rel_err
+from util import moment_leading, random_points, rel_err, z_stat
 
 
 def test_moment_unitary_values():
@@ -128,7 +127,6 @@ def test_logders_main_pair_sum_oracle():
     f_vars = (0.25, 0.35)
     got = logders_main(e_vars, f_vars)
     # direct sum over partitions with exactly 2 parts via brute force
-    from lsrmt.partitions import z_stat
     from lsrmt.symfunc import monomial_eval
 
     want = 0j

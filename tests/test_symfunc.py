@@ -9,13 +9,11 @@ import pytest
 from lsrmt.partitions import (
     conjugate,
     contains,
-    is_horizontal_strip,
     mn_index,
     part,
     partitions_of,
     partition_pool,
     partitions_up_to,
-    rectangle,
     size,
     subdiagrams,
 )
@@ -26,12 +24,10 @@ from lsrmt.symfunc import (
     _schur_det_many,
     CoincidentVariablesError,
     SizeCapError,
+    _distinct,
     basis_eval,
-    complete_r,
-    delta,
     delta2,
     e_prod,
-    elementary_r,
     lr_coeff,
     ls_comb,
     ls_det,
@@ -39,13 +35,19 @@ from lsrmt.symfunc import (
     monomial_eval,
     monomial_on_arrays,
     neg,
-    pairwise_distinct,
     powersum_r,
     schur_comb,
     schur_det,
     schur_in_monomials,
 )
-from util import random_points, random_partition, rel_err
+from util import (
+    complete_r,
+    delta,
+    elementary_r,
+    is_horizontal_strip,
+    random_points,
+    rel_err,
+)
 
 
 def test_delta_trivial():
@@ -138,7 +140,7 @@ def test_newton_identity_spot_check():
     # e_2 = (p_1^2 - p_2) / 2 on random points
     rng = np.random.default_rng(2)
     xs = random_points(rng, 3)
-    lhs = basis_eval("elementary", (2,), xs)
+    lhs = elementary_r(2, xs)
     p1 = basis_eval("powersum", (1,), xs)
     p2 = basis_eval("powersum", (2,), xs)
     assert rel_err(lhs, (p1 * p1 - p2) / 2) < 1e-10
@@ -311,7 +313,7 @@ def test_ls_det_littlewood_square():
         n, m = 2, 2
         pts = random_points(rng, n + m)
         xs, ys = pts[:n], pts[n:]
-        got = ls_det(rectangle(m + ell, n), xs, ys)
+        got = ls_det((m + ell,) * n, xs, ys)
         want = e_prod(neg(xs)) ** ell * delta2(ys, xs)
         assert rel_err(got, want) < 1e-9
 
@@ -355,8 +357,8 @@ def test_vanderjeugt_counterexample_surplus():
 
 
 def test_pairwise_distinct_predicate():
-    assert pairwise_distinct((0, 1, 2))
-    assert not pairwise_distinct((0, 1e-9))
+    assert _distinct((0j, 1 + 0j, 2 + 0j))
+    assert not _distinct((0j, 1e-9 + 0j))
 
 
 def test_schur_in_monomials():

@@ -1,15 +1,24 @@
-"""Shared test helpers: the seeded-instance helpers and a brute-force ribbon oracle."""
+"""Shared test helpers: the seeded-instance helpers and the tests' own oracles.
+
+The oracles are reference formulas that only the tests call: ribbon heights
+and horizontal strips read off the diagram, the leading moment coefficient
+f_k, the Vandermonde product, e_r and h_r summed over subsets, and the exact
+z-statistic.
+"""
 
 from __future__ import annotations
 
-from lsrmt.partitions import canonical
+import itertools
+from fractions import Fraction
+from math import factorial
+
+from lsrmt.partitions import canonical, contains, multiplicities, part, partitions_of, size
+from lsrmt.symfunc import _delta, as_varset, e_prod
 from lsrmt.verify import random_partition, random_points, rel_err  # noqa: F401
 
 
 def brute_force_ribbons_added(mu, k, max_len=None):
     """Oracle: scan all partitions of |mu|+k containing mu for ribbon skews."""
-    from lsrmt.partitions import contains, partitions_of, ribbon_height, size
-
     out = []
     for lam in partitions_of(size(mu) + k, max_len=max_len):
         if not contains(lam, mu):
@@ -18,3 +27,90 @@ def brute_force_ribbons_added(mu, k, max_len=None):
         if h is not None:
             out.append((canonical(lam), h))
     return sorted(out)
+
+
+def ribbon_height(lam, mu) -> int | None:
+    """Height of the ribbon lam/mu, or None if the skew shape is no ribbon.
+
+    A ribbon is edgewise connected and contains no 2x2 block; its height is
+    one less than the number of rows it occupies.
+    """
+    lam, mu = canonical(lam), canonical(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{mu} not contained in {lam}")
+    # boxes (col, row) of lam/mu, 1-based
+    boxes = [
+        (i, j)
+        for j in range(1, len(lam) + 1)
+        for i in range(part(mu, j) + 1, part(lam, j) + 1)
+    ]
+    if not boxes:
+        return None
+    cells = set(boxes)
+    for (i, j) in cells:
+        if {(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= cells:
+            return None  # 2x2 block
+    seen = {boxes[0]}
+    frontier = [boxes[0]]
+    while frontier:
+        i, j = frontier.pop()
+        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    if len(seen) != len(cells):
+        return None  # disconnected
+    return len({j for _, j in cells}) - 1
+
+
+def is_horizontal_strip(lam, mu) -> bool:
+    """lam/mu has at most one box per column."""
+    if not contains(lam, mu):
+        return False
+    return all(part(lam, j + 1) <= part(mu, j) for j in range(1, len(lam) + 1))
+
+
+def moment_leading(k: int) -> Fraction:
+    """Leading coefficient f_k of the moment as N -> infinity."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    out = Fraction(1)
+    for j in range(k):
+        out *= Fraction(factorial(j), factorial(j + k))
+    return out
+
+
+def delta(xs) -> complex:
+    """Vandermonde product prod_{i<j} (x_i - x_j)."""
+    return _delta(as_varset(xs))
+
+
+def elementary_r(r: int, xs) -> complex:
+    xs = as_varset(xs)
+    if r == 0:
+        return 1.0 + 0j
+    if r > len(xs):
+        return 0j
+    return sum(
+        (e_prod(sub) for sub in itertools.combinations(xs, r)), 0j
+    )
+
+
+def complete_r(r: int, xs) -> complex:
+    xs = as_varset(xs)
+    if r == 0:
+        return 1.0 + 0j
+    if not xs:
+        return 0j
+    return sum(
+        (e_prod(sub) for sub in itertools.combinations_with_replacement(xs, r)),
+        0j,
+    )
+
+
+def z_stat(lam) -> Fraction:
+    """prod_i i^{m_i} m_i! over the part multiplicities m_i."""
+    z = Fraction(1)
+    for i, m in multiplicities(lam).items():
+        z *= Fraction(i) ** m * factorial(m)
+    return z
