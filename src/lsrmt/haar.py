@@ -1,10 +1,17 @@
 """Haar-random unitary sampling, spectral functionals, and Monte Carlo.
 
-Sampling draws a complex Ginibre matrix, orthonormalizes by QR and fixes the
-phases so the triangular factor has positive real diagonal, which yields the
-exact Haar distribution.  Only spectra are retained.  Monte Carlo estimates
-are chunked with per-chunk seeded generators and a fixed-order reduction, so
-results depend only on (seed, M), never on scheduling.
+There are two samplers of the Haar measure on U(N).  The spectral one draws a
+complex Ginibre matrix, orthonormalizes by QR and fixes the phases so the
+triangular factor has positive real diagonal, which yields the exact Haar
+distribution; only spectra are retained.  Estimators that read the
+characteristic polynomial at a few points only use the second: independent
+Verblunsky coefficients (Killip & Nenciu, IMRN 2004) and the Szegő recursion
+give chi_g and chi_g' there in O(N) per point, with no matrix; `ratio`
+draws them from a tilted law and weights each value by the likelihood ratio,
+which divides out the heavy tail of a ratio of characteristic polynomials.
+Monte Carlo estimates are chunked with per-chunk seeded generators and a
+fixed-order reduction, so results depend only on (seed, M), never on
+scheduling.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .rmt import _refine_grid
 from .symfunc import monomial_on_arrays
 
 POLE_EPS = 1e-9
+# largest |E_k| of a tilted Verblunsky draw; bounds each likelihood-ratio factor
+TILT_MAX = 0.9
 CHUNK = 4096
 # mesh points handed to a Weyl functional at once; bounds the mesh-sized temporaries
 WEYL_CHUNK = 1 << 14
@@ -60,6 +69,102 @@ def _haar_batch(rng, count: int, big_n: int) -> np.ndarray:
     return np.linalg.eigvals(q)
 
 
+def _verblunsky_batch(rng, count: int, big_n: int) -> np.ndarray:
+    """Verblunsky coefficients of `count` Haar unitaries, shape (count, N).
+
+    Killip-Nenciu: alpha_0 .. alpha_{N-1} are independent with uniform phase,
+    |alpha_k|^2 ~ Beta(1, N-k-1) for k < N-1, drawn as 1 - U^{1/(N-k-1)},
+    and |alpha_{N-1}| = 1.
+    """
+    free = max(big_n - 1, 0)
+    mod_sq = np.ones((count, big_n))
+    mod_sq[:, :free] = 1 - rng.random((count, free)) ** (1.0 / np.arange(free, 0, -1))
+    phase = np.exp(2j * np.pi * rng.random((count, big_n)))
+    return np.sqrt(mod_sq) * phase
+
+
+def _szego_batch(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """chi_g and chi_g' at each point, each of shape (count, len(points)).
+
+    The Szegő recursion Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k,
+    Phi*_{k+1} = Phi*_k - alpha_k z Phi_k from Phi_0 = Phi*_0 = 1, with its
+    derivative; chi_g(z) = det(I - z g^{-1}) = Phi*_N(z).
+    """
+    z = np.asarray(points, dtype=complex)
+    shape = (alpha.shape[0], z.size)
+    phi, star = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+    dphi, dstar = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    for k in range(alpha.shape[1]):
+        a = alpha[:, k:k + 1]
+        a_bar = np.conj(a)
+        z_phi, dz_phi = z * phi, phi + z * dphi
+        phi, star = z_phi - a_bar * star, star - a * z_phi
+        dphi, dstar = dz_phi - a_bar * dstar, dstar - a * dz_phi
+    return star, dstar
+
+
+def _tilted_char_batch(rng, count: int, big_n: int, points, tilt):
+    """chi_g at each point and each sample's likelihood ratio, from a tilted law.
+
+    chi_g(z) = prod_k (1 - alpha_k b_k(z)) with b_k = z Phi_k / Phi*_k, which
+    depends on alpha_0 .. alpha_{k-1} only, so log|prod_j chi_g(z_j)^tilt_j|
+    is to first order sum_k -2 Re(alpha_k E_k), E_k = sum_j tilt_j b_k(z_j) / 2.
+    Each alpha_k is drawn from its Haar law times |1 - alpha_k E_k|^2 / Z_k,
+    Z_k = 1 + |E_k|^2 E|alpha_k|^2, and the ratio prod_k Z_k / |1 - alpha_k E_k|^2
+    of the Haar density to the drawn one is returned: the mean of weight *
+    f(chi) is the Haar mean of f(chi) for any f, and for f close to
+    prod_j chi_g(z_j)^tilt_j its heavy tail is divided out.  E_k is clipped to
+    |E_k| <= TILT_MAX (0 where b_k is not finite), which bounds each factor.
+
+    Given |alpha|^2 = s the tilted phase has density (1 - kappa cos theta) / 2pi
+    in theta = arg(alpha E), kappa = 2w / (1 + w^2), w = sqrt(s) |E|: a mixture
+    of the uniform law and (1 - cos theta) / 2pi, which is the law of
+    2 arccos(x) for x the abscissa of a uniform point of the unit disc.  The
+    tilted law of s mixes Beta(1, m) = 1 - U^{1/m} and Beta(2, m) =
+    1 - U^{1/m} V^{1/(m+1)}, m = N - k - 1, in proportions 1 : |E|^2 / (m + 1);
+    |alpha_{N-1}| = 1.
+    """
+    z = np.asarray(points, dtype=complex)
+    tilt = np.asarray(tilt, dtype=float)
+    # the draws of every step at once; E_k only picks between them (column 4 is
+    # the uniform angle or the disc point's radius, whichever branch is taken)
+    u = rng.random((count, big_n, 6))
+    m = np.arange(big_n - 1, -1, -1)  # |alpha_k|^2 ~ Beta(1, m_k) under Haar
+    free = m > 0
+    first = np.ones((count, big_n))
+    first[:, free] = u[:, free, 0] ** (1.0 / m[free])
+    s_one = 1 - first
+    s_two = 1 - first * u[:, :, 1] ** (1.0 / (m + 1))
+    s_one[:, ~free] = s_two[:, ~free] = 1
+    dip = np.exp(2j * np.arccos(np.sqrt(u[:, :, 4]) * np.cos(2 * np.pi * u[:, :, 5])))
+    flat = np.exp(2j * np.pi * u[:, :, 4])
+    # |chi_g(z)| = |z|^N |chi_g(1 / conj(z))| and b_k(1 / conj(z)) = 1 / conj(b_k(z)):
+    # a point outside the disc tilts through its reflection
+    outside = np.abs(z) > 1
+    shape = (count, z.size)
+    phi, star = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+    weight = np.ones(count)
+    for k in range(big_n):
+        z_phi = z * phi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = z_phi / star
+            b[:, outside] = 1 / np.conj(b[:, outside])
+            e = b @ tilt / 2
+        e = np.where(np.isfinite(e), e, 0)
+        size = np.abs(e)
+        unit = np.where(size > 0, np.conj(e) / np.maximum(size, np.finfo(float).tiny), 1)
+        size = np.minimum(size, TILT_MAX)
+        z_k = 1 + size ** 2 / (m[k] + 1)  # E|alpha_k|^2 = 1 / (m_k + 1)
+        root_s = np.sqrt(np.where(u[:, k, 2] * z_k < z_k - 1, s_two[:, k], s_one[:, k]))
+        w = root_s * size
+        cis = np.where(u[:, k, 3] * (1 + w * w) < 2 * w, dip[:, k], flat[:, k])
+        weight *= z_k / (1 + w * w - 2 * w * cis.real)
+        # alpha E = w e^{i theta} for the clipped E
+        alpha = (root_s * cis * unit)[:, None]
+        phi, star = z_phi - np.conj(alpha) * star, star - alpha * z_phi
+    return star, weight
+
+
 # -- batched estimators ---------------------------------------------------------
 
 def _char_batch(eigs: np.ndarray, z: complex) -> np.ndarray:
@@ -82,13 +187,45 @@ def _logder_inv_batch(eigs: np.ndarray, z: complex) -> np.ndarray:
     return _logder_batch(np.conj(eigs), z)
 
 
-class Estimator:
-    """Named batch functional over spectra, optionally with a predicted mean."""
+def _logder_from_char(chi: np.ndarray, dchi: np.ndarray) -> np.ndarray:
+    """chi'/chi with NaN where |chi| < POLE_EPS.
 
-    def __init__(self, name, func, prediction=None):
+    Since |chi_g(z)| = prod_j |rho_j - z|, this rejects a sample when the
+    product of the distances from z to the eigenvalues is below POLE_EPS,
+    where the spectral route rejects when the smallest distance is.  One
+    small distance alone need not trip this test (the other factors may be
+    large), and several moderately small ones can; both tests reject only
+    samples in a neighbourhood of the pole set of chi'/chi.
+    """
+    vals = dchi / chi
+    return np.where(np.abs(chi) < POLE_EPS, np.nan + 1j * np.nan, vals)
+
+
+class Estimator:
+    """Named batch functional over spectra, optionally with a predicted mean.
+
+    An estimator that reads the characteristic polynomial only at a few
+    points also carries `points` and `char_func`: char_func(chi, dchi) gives
+    the same values as func from chi_g and chi_g' at those points, arrays of
+    shape (count, len(points)).  chi_{g^{-1}}(w) = conj(chi_g(conj(w))), so
+    points for g^{-1} enter conjugated.  One whose values grow like
+    prod_j |chi_g(z_j)|^tilt_j also carries that `tilt`; mc_average then draws
+    from the tilted law of _tilted_char_batch and weights each value, and its
+    char_func reads chi only (dchi is None).  These are plain instance
+    attributes, so a wrapper made with functools.wraps carries them too, and
+    mc_average evaluates such a wrapper through the copied char_func alone:
+    the wrapper's own body never runs, and `est.func` is the way to reach the
+    QR route.
+    """
+
+    def __init__(self, name, func, prediction=None, points=None, char_func=None,
+                 tilt=None):
         self.name = name
         self.func = func
         self.prediction = prediction
+        self.points = points
+        self.char_func = char_func
+        self.tilt = tilt
 
     def __call__(self, eigs: np.ndarray) -> np.ndarray:
         return self.func(eigs)
@@ -119,7 +256,11 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
         z = complex(params.get("z", 1.0))
         pred = complex(moment_unitary(1, big_n)) if abs(abs(z) - 1) < 1e-12 else None
         return Estimator(
-            name, lambda e: np.abs(_char_batch(e, z)).astype(complex) ** 2, pred
+            name,
+            lambda e: np.abs(_char_batch(e, z)).astype(complex) ** 2,
+            pred,
+            (z,),
+            lambda chi, dchi: np.abs(chi[:, 0]).astype(complex) ** 2,
         )
     if name == "ratio":
         a = tuple(params.get("a", ()))
@@ -139,12 +280,25 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
                 out = out / _char_batch(np.conj(e), gamma)
             return out
 
+        # chi_g at a and d, chi_{g^{-1}} at b and c
+        points = (*a, *np.conj(b), *d, *np.conj(c))
+        cuts = np.cumsum([len(a), len(b), len(d)])
+
+        def ratio_char(chi, dchi):
+            at_a, at_b, at_d, at_c = np.split(chi, cuts, axis=1)
+            return (
+                np.prod(at_a, axis=1) * np.prod(np.conj(at_b), axis=1)
+                / np.prod(at_d, axis=1) / np.prod(np.conj(at_c), axis=1)
+            )
+
         pred = None
         try:
             pred = ratio_avg(a, b, c, d, big_n)
         except ValueError:
             pass
-        return Estimator(name, ratio_func, pred)
+        # |chi_g| at a and conj(b) up, at d and conj(c) down
+        tilt = (1,) * (len(a) + len(b)) + (-1,) * (len(d) + len(c))
+        return Estimator(name, ratio_func, pred, points, ratio_char, tilt)
     if name == "logder_pair":
         eps = complex(params.get("eps", 0.3))
         phi = complex(params.get("phi", 0.3))
@@ -153,7 +307,11 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
         def pair_func(e):
             return eps * _logder_batch(e, eps) * phi * _logder_inv_batch(e, phi)
 
-        return Estimator(name, pair_func, pred)
+        def pair_char(chi, dchi):
+            logder = _logder_from_char(chi, dchi)
+            return eps * logder[:, 0] * phi * np.conj(logder[:, 1])
+
+        return Estimator(name, pair_func, pred, (eps, phi.conjugate()), pair_char)
     if name == "completed_logder_pair":
         eps = complex(params.get("eps", 0.3))
         phi = complex(params.get("phi", 0.3))
@@ -164,7 +322,15 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             rhs = -big_n / 2 + phi * _logder_inv_batch(e, phi)
             return lhs * rhs
 
-        return Estimator(name, completed_func, pred)
+        def completed_char(chi, dchi):
+            logder = _logder_from_char(chi, dchi)
+            lhs = -big_n / 2 + eps * logder[:, 0]
+            rhs = -big_n / 2 + phi * np.conj(logder[:, 1])
+            return lhs * rhs
+
+        return Estimator(
+            name, completed_func, pred, (eps, phi.conjugate()), completed_char
+        )
     if name == "explicit_sum":
         from .rmt import catalog_function
 
@@ -210,26 +376,44 @@ def mc_average(
     workers: int = 1,
     chunk: int = CHUNK,
 ) -> MCEstimate:
-    """Monte Carlo average of a named or callable functional over Haar spectra.
+    """Monte Carlo average of a named or callable functional over Haar samples.
 
-    The sample stream is split into fixed chunks; chunk i uses the generator
-    seeded by SeedSequence((seed, i)).  Rejected (NaN) evaluations are dropped
-    and counted.
+    A functional with a `char_func` (see Estimator) is evaluated only through
+    that char_func, on chi_g and chi_g' from Verblunsky coefficients (drawn
+    from the tilted law and weighted when it carries a `tilt`); its own call
+    is never made, so the body of a functools.wraps wrapper around an
+    Estimator does not run.  Any other callable gets spectra from QR.  The
+    sample stream is split into fixed chunks; chunk i uses the generator
+    seeded by SeedSequence((seed, i)).  Rejected (NaN) evaluations are
+    dropped and counted.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     est = (
         functional
         if callable(functional)
         else make_estimator(functional, big_n)
     )
+    if getattr(est, "tilt", None) is not None:
+        def evaluate(rng, count):
+            chi, weight = _tilted_char_batch(rng, count, big_n, est.points, est.tilt)
+            return weight * est.char_func(chi, None)
+    elif getattr(est, "char_func", None) is not None:
+        def evaluate(rng, count):
+            alpha = _verblunsky_batch(rng, count, big_n)
+            return est.char_func(*_szego_batch(alpha, est.points))
+    else:
+        def evaluate(rng, count):
+            return est(_haar_batch(rng, count, big_n))
+
     bounds = [(i, min(chunk, samples - i * chunk)) for i in range((samples + chunk - 1) // chunk)]
 
     def run_chunk(args):
         index, count = args
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        eigs = _haar_batch(rng, count, big_n)
-        vals = np.asarray(est(eigs), dtype=complex)
+        vals = np.asarray(evaluate(rng, count), dtype=complex)
         good = ~np.isnan(vals.real) & ~np.isnan(vals.imag)
         v = vals[good]
         return (

@@ -104,6 +104,16 @@ def test_unknown_estimator_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_mc_nonpositive_workers_exit_2(workers, capsys):
+    code, payload = run_json(
+        ["mc", "--estimator", "trace", "--N", "2", "--M", "100", "--workers", workers], capsys
+    )
+    assert code == 2
+    assert set(payload) == {"schema", "error"}
+    assert "workers" in payload["error"]
+
+
 def test_verify_suite_pass(capsys):
     code, payload = run_json(
         ["verify", "overlap-1", "--seed", "7", "--instances", "10"], capsys

@@ -1,6 +1,10 @@
+import functools
+from math import sqrt
+
 import numpy as np
 import pytest
 
+from lsrmt import haar
 from lsrmt.haar import (
     WEYL_CHUNK,
     MCEstimate,
@@ -9,13 +13,16 @@ from lsrmt.haar import (
     _haar_batch,
     _logder_batch,
     _logder_inv_batch,
+    _szego_batch,
+    _tilted_char_batch,
+    _verblunsky_batch,
     _weyl_on_grid,
     make_estimator,
     mc_average,
     weyl_quadrature,
 )
 from lsrmt.partitions import partitions_up_to
-from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, moment_unitary
+from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, moment_unitary, ratio_avg
 from lsrmt.symfunc import schur_comb
 from util import rel_err
 
@@ -201,6 +208,186 @@ def test_schur_pair_matches_branching_rule_at_n20():
         want = schur_comb(mu, tuple(row)) * np.conj(schur_comb(nu, tuple(row)))
         assert abs(value - want) <= 1e-10 * max(abs(value), abs(want))
 
+
+# -- Verblunsky sampler ----------------------------------------------------------
+
+CHAR_ESTIMATORS = {
+    "abs_char_sq": {"z": 0.6 + 0.8j},
+    "ratio": {"a": (0.7,), "b": (0.8 - 0.1j,), "c": (0.3,), "d": (0.2 + 0.1j,)},
+    "logder_pair": {"eps": 0.4, "phi": 0.2 + 0.1j},
+    "completed_logder_pair": {"eps": 0.4, "phi": 0.2 + 0.1j},
+}
+
+
+def _paraorthogonal_zeros(alpha):
+    """Zeros of Phi_N from the coefficient form of the Szegő recursion."""
+    phi = np.array([1 + 0j])  # coefficients, highest degree first
+    for a in alpha:
+        star = np.conj(phi[::-1])
+        phi = np.append(phi, 0) - np.conj(a) * np.append(0, star)
+    return np.roots(phi)
+
+
+def test_verblunsky_shapes_and_moduli():
+    for big_n in (0, 1, 2, 7):
+        alpha = _verblunsky_batch(np.random.default_rng(4), 5, big_n)
+        assert alpha.shape == (5, big_n)
+        if big_n:
+            assert np.all(np.abs(alpha[:, :-1]) < 1)
+            assert np.allclose(np.abs(alpha[:, -1]), 1)
+
+
+def test_szego_chi_matches_the_spectrum_of_its_zeros():
+    # chi_g(z) = prod (1 - z conj(rho)) over the zeros rho of Phi_N, which lie on
+    # the unit circle; chi'/chi is the spectral log-derivative
+    big_n = 6
+    alpha = _verblunsky_batch(np.random.default_rng(8), 4, big_n)
+    points = (0.3 + 0.2j, 1.4 - 0.5j, -0.7j)
+    chi, dchi = _szego_batch(alpha, points)
+    assert chi.shape == dchi.shape == (4, len(points))
+    for row, coeffs in enumerate(alpha):
+        eigs = _paraorthogonal_zeros(coeffs)[None, :]
+        assert np.allclose(np.abs(eigs), 1, atol=1e-10)
+        for col, z in enumerate(points):
+            assert abs(chi[row, col] - _char_batch(eigs, z)[0]) < 1e-10
+            assert abs(dchi[row, col] / chi[row, col] - _logder_batch(eigs, z)[0]) < 1e-9
+
+
+def test_szego_derivative_matches_finite_difference():
+    alpha = _verblunsky_batch(np.random.default_rng(6), 3, 9)
+    z, h = np.array([0.5 - 0.3j, 1.2 + 0.1j]), 1e-6
+    _, dchi = _szego_batch(alpha, z)
+    ahead, _ = _szego_batch(alpha, z + h)
+    behind, _ = _szego_batch(alpha, z - h)
+    assert np.max(np.abs((ahead - behind) / (2 * h) - dchi)) < 1e-7
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 10, 50])
+def test_verblunsky_abs_char_sq_mean(big_n):
+    samples = 20000
+    out = mc_average("abs_char_sq", big_n, samples, seed=40 + big_n)
+    # exact sigma: the sample stderr of |chi|^2 underestimates its heavy tail
+    var = float(moment_unitary(2, big_n) - moment_unitary(1, big_n) ** 2)
+    assert abs(out.mean - (big_n + 1)) < 4 * sqrt(var / samples)
+
+
+def test_verblunsky_abs_char_sq_at_n0_is_exactly_one():
+    out = mc_average("abs_char_sq", 0, 500, seed=1)
+    assert out.mean == 1 and out.stderr == 0 and out.samples == 500
+
+
+def test_char_estimators_skip_the_spectral_sampler(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no QR sample may be drawn")
+
+    monkeypatch.setattr(haar, "_haar_batch", refuse)
+    for name, params in CHAR_ESTIMATORS.items():
+        mc_average(make_estimator(name, 4, **params), 4, 200, seed=3)
+    with pytest.raises(AssertionError):
+        mc_average("trace", 4, 200, seed=3)
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_ESTIMATORS))
+def test_verblunsky_agrees_with_qr(name):
+    # two-sample z-test; est.func is the spectral form, so it takes the QR route
+    big_n, samples = 6, 20000
+    est = make_estimator(name, big_n, **CHAR_ESTIMATORS[name])
+    fast = mc_average(est, big_n, samples, seed=50)
+    spectral = mc_average(est.func, big_n, samples, seed=51)
+    z = abs(fast.mean - spectral.mean) / np.hypot(fast.stderr, spectral.stderr)
+    assert z < 4, (name, fast, spectral)
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_ESTIMATORS))
+def test_verblunsky_deterministic_across_workers_and_wrapping(name):
+    est = make_estimator(name, 5, **CHAR_ESTIMATORS[name])
+    base = mc_average(est, 5, 3000, seed=13, workers=1, chunk=700)
+    assert mc_average(est, 5, 3000, seed=13, workers=4, chunk=700) == base
+    wrapped = functools.wraps(est)(lambda e: est(e))
+    assert mc_average(wrapped, 5, 3000, seed=13, workers=1, chunk=700) == base
+
+
+def test_verblunsky_pole_guard():
+    # at N = 1, chi(z) = 1 - alpha_0 z, so z = 1/alpha_0 is a zero of chi
+    alpha0 = np.exp(0.7j)
+    alpha = np.array([[alpha0], [np.exp(2.1j)]])
+    assert abs(_szego_batch(alpha, (1 / alpha0,))[0][0, 0]) < 1e-15
+    for name in ("logder_pair", "completed_logder_pair"):
+        for eps, phi in ((1 / alpha0, 0.3), (0.3, np.conj(1 / alpha0))):
+            est = make_estimator(name, 1, eps=eps, phi=phi)
+            vals = est.char_func(*_szego_batch(alpha, est.points))
+            assert np.isnan(vals[0].real) and np.isnan(vals[0].imag)
+            assert np.isfinite(vals[1])
+
+
+
+# -- tilted Verblunsky draws (ratio) -----------------------------------------------
+
+def _untilted(est):
+    """The same estimator on the plain Verblunsky route."""
+    plain = functools.wraps(est)(lambda e: est(e))
+    plain.tilt = None
+    return plain
+
+
+def test_tilted_weights_average_to_one():
+    # the likelihood ratio of the Haar law to the tilted one has Haar mean 1
+    points, tilt = (0.8 + 0.1j, 0.7 - 0.3j, 0.2j, 1.4), (1, 1, -1, 1)
+    chi, weight = _tilted_char_batch(np.random.default_rng(9), 40000, 8, points, tilt)
+    assert chi.shape == (40000, 4) and weight.shape == (40000,)
+    assert np.all(weight > 0)
+    assert abs(weight.mean() - 1) < 4 * weight.std() / sqrt(weight.size)
+
+
+def test_tilted_product_average_is_exact_on_average():
+    # E chi_g(a) chi_{g^{-1}}(b) = sum_{k <= N} (ab)^k, under the tilted draw as well
+    big_n, a, b = 7, 0.8 + 0.2j, 0.75 - 0.1j
+    chi, weight = _tilted_char_batch(
+        np.random.default_rng(10), 40000, big_n, (a, np.conj(b)), (1, 1)
+    )
+    vals = weight * chi[:, 0] * np.conj(chi[:, 1])
+    want = sum((a * b) ** k for k in range(big_n + 1))
+    stderr = max(vals.real.std(), vals.imag.std()) / sqrt(vals.size)
+    assert abs(vals.mean() - want) < 4 * stderr
+
+
+def test_tilted_draw_without_tilt_direction_keeps_weight_one():
+    # a = d and b = c: E_k = 0 at every step, so the draw is the Haar law itself
+    est = make_estimator("ratio", 6, a=(0.6,), b=(0.5j,), c=(0.5j,), d=(0.6,))
+    chi, weight = _tilted_char_batch(np.random.default_rng(2), 50, 6, est.points, est.tilt)
+    assert np.all(weight == 1)
+    assert np.all(np.abs(chi) <= 2 ** 6) and np.all(np.isfinite(chi))
+
+
+@pytest.mark.parametrize("params", [
+    {"a": (0.85 + 0.1j,), "b": (0.8 - 0.15j,), "c": (0.3,), "d": (0.4,)},
+    {"a": (1.1 + 0.2j,), "b": (0.8 - 0.3j,), "c": (0.3 + 0.1j,), "d": (0.4 - 0.2j,)},
+    {"a": (0.5, 0.6j), "b": (0.7,), "c": (0.2,), "d": (0.3, -0.1)},
+    {"a": (1.5,), "b": (0.2,), "c": (0.1,), "d": (0.1,)},
+])
+def test_tilted_ratio_is_unbiased_and_lighter(params):
+    big_n, samples = 8, 40000
+    est = make_estimator("ratio", big_n, **params)
+    pred = ratio_avg(params["a"], params["b"], params["c"], params["d"], big_n)
+    tilted = mc_average(est, big_n, samples, seed=21)
+    plain = mc_average(_untilted(est), big_n, samples, seed=21)
+    assert abs(tilted.mean - pred) < 4 * tilted.stderr
+    assert tilted.stderr < plain.stderr
+
+
+def test_tilt_divides_out_the_heavy_tail():
+    # near-conjugate numerator points make |chi_g(a) chi_{g^-1}(b)| log-normal
+    # with a heavy tail; the tilted draw cuts the standard error several-fold
+    est = make_estimator("ratio", 10, a=(0.85 + 0.1j,), b=(0.8 - 0.15j,), c=(0.3,), d=(0.4,))
+    tilted = mc_average(est, 10, 40000, seed=22)
+    plain = mc_average(_untilted(est), 10, 40000, seed=22)
+    assert tilted.stderr < plain.stderr / 3
+
+
+def test_tilted_ratio_at_n0_is_exactly_one():
+    est = make_estimator("ratio", 0, a=(0.5,), b=(0.4,), c=(0.3,), d=(0.2,))
+    out = mc_average(est, 0, 200, seed=1)
+    assert out.mean == 1 and out.stderr == 0
 
 def test_mc_estimate_json():
     e = MCEstimate(1 + 2j, 0.5, 100, 7, 1)

@@ -17,7 +17,7 @@ from lsrmt.rmt import (
     ratio_avg,
     recipe_main,
 )
-from lsrmt.symfunc import basis_eval, schur_comb, schur_det
+from lsrmt.symfunc import schur_comb
 from util import moment_leading, random_points, rel_err, z_stat
 
 

@@ -105,7 +105,6 @@ def test_mn_negative_composite_operator_route():
     mu = (5, 5)
     lam = (2, 1)
     op = schur(mu)
-    coeff = Fraction(1)
     for p_ in lam:
         op = mn_derive(p_, op)  # mn_derive is already k d/dp_k
     lhs = op.evaluate(xs)
