@@ -16,7 +16,10 @@ import json
 import sys
 from fractions import Fraction
 
+from . import partitions, rmt, symfunc
+from .haar import make_estimator, mc_average
 from .rmt import QuadratureError, TruncationError
+from .verify import SUITES, run_suite
 
 SCHEMA = "ls-rmt/1"
 
@@ -28,10 +31,8 @@ def parse_partition(text: str):
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SystemExit2(f"bad partition {text!r}; want comma-separated integers")
-    from .partitions import canonical
-
     try:
-        return canonical(parts)
+        return partitions.canonical(parts)
     except ValueError as exc:
         raise SystemExit2(str(exc))
 
@@ -86,8 +87,6 @@ def _flatten(d, prefix=""):
 
 
 def cmd_compute(args) -> tuple[dict, int]:
-    from . import partitions, rmt, symfunc
-
     target = args.target
     config = {"target": target}
     if target == "schur":
@@ -179,8 +178,6 @@ def cmd_compute(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    from .verify import SUITES, run_suite
-
     if args.suite not in SUITES:
         raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     report = run_suite(args.suite, args.seed, instances=args.instances, tol=args.tolerance)
@@ -189,8 +186,6 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_mc(args) -> tuple[dict, int]:
-    from .haar import make_estimator, mc_average
-
     params = {}
     for key in ("z", "eps", "phi"):
         val = getattr(args, key)

@@ -22,8 +22,15 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .rmt import _refine_grid
-from .symfunc import monomial_on_arrays
+from .rmt import (
+    _refine_grid,
+    catalog_function,
+    completed_logders_main,
+    logders_main,
+    moment_unitary,
+    ratio_avg,
+)
+from .symfunc import monomial_on_arrays, schur_in_monomials
 
 POLE_EPS = 1e-9
 # largest |E_k| of a tilted Verblunsky draw; bounds each likelihood-ratio factor
@@ -202,7 +209,7 @@ def _logder_from_char(chi: np.ndarray, dchi: np.ndarray) -> np.ndarray:
 
 
 class Estimator:
-    """Named batch functional over spectra, optionally with a predicted mean.
+    """Batch functional over spectra, optionally with a predicted mean.
 
     An estimator that reads the characteristic polynomial only at a few
     points also carries `points` and `char_func`: char_func(chi, dchi) gives
@@ -218,9 +225,7 @@ class Estimator:
     QR route.
     """
 
-    def __init__(self, name, func, prediction=None, points=None, char_func=None,
-                 tilt=None):
-        self.name = name
+    def __init__(self, func, prediction=None, points=None, char_func=None, tilt=None):
         self.func = func
         self.prediction = prediction
         self.points = points
@@ -235,38 +240,29 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
     """Build a named estimator; prediction is attached when a closed form exists.
 
     Names: one, trace, abs_trace_sq, abs_char_sq, ratio, logder_pair,
-    completed_logder_pair, explicit_sum, schur_pair.
+    completed_logder_pair, explicit_sum, schur_pair.  A parameter that the
+    named estimator does not read raises ValueError.
     """
-    from .rmt import (
-        completed_logders_main,
-        logders_main,
-        moment_unitary,
-        ratio_avg,
-    )
-
     if name == "one":
-        return Estimator(name, lambda e: np.ones(e.shape[0], dtype=complex), 1.0 + 0j)
-    if name == "trace":
-        return Estimator(name, lambda e: np.sum(e, axis=1), 0j)
-    if name == "abs_trace_sq":
-        return Estimator(
-            name, lambda e: np.abs(np.sum(e, axis=1)).astype(complex) ** 2, 1.0 + 0j
-        )
-    if name == "abs_char_sq":
-        z = complex(params.get("z", 1.0))
+        est = Estimator(lambda e: np.ones(e.shape[0], dtype=complex), 1.0 + 0j)
+    elif name == "trace":
+        est = Estimator(lambda e: np.sum(e, axis=1), 0j)
+    elif name == "abs_trace_sq":
+        est = Estimator(lambda e: np.abs(np.sum(e, axis=1)).astype(complex) ** 2, 1.0 + 0j)
+    elif name == "abs_char_sq":
+        z = complex(params.pop("z", 1.0))
         pred = complex(moment_unitary(1, big_n)) if abs(abs(z) - 1) < 1e-12 else None
-        return Estimator(
-            name,
+        est = Estimator(
             lambda e: np.abs(_char_batch(e, z)).astype(complex) ** 2,
             pred,
             (z,),
             lambda chi, dchi: np.abs(chi[:, 0]).astype(complex) ** 2,
         )
-    if name == "ratio":
-        a = tuple(params.get("a", ()))
-        b = tuple(params.get("b", ()))
-        c = tuple(params.get("c", ()))
-        d = tuple(params.get("d", ()))
+    elif name == "ratio":
+        a = tuple(params.pop("a", ()))
+        b = tuple(params.pop("b", ()))
+        c = tuple(params.pop("c", ()))
+        d = tuple(params.pop("d", ()))
 
         def ratio_func(e):
             out = np.ones(e.shape[0], dtype=complex)
@@ -298,10 +294,10 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             pass
         # |chi_g| at a and conj(b) up, at d and conj(c) down
         tilt = (1,) * (len(a) + len(b)) + (-1,) * (len(d) + len(c))
-        return Estimator(name, ratio_func, pred, points, ratio_char, tilt)
-    if name == "logder_pair":
-        eps = complex(params.get("eps", 0.3))
-        phi = complex(params.get("phi", 0.3))
+        est = Estimator(ratio_func, pred, points, ratio_char, tilt)
+    elif name == "logder_pair":
+        eps = complex(params.pop("eps", 0.3))
+        phi = complex(params.pop("phi", 0.3))
         pred = eps * phi * logders_main((eps,), (phi,))
 
         def pair_func(e):
@@ -311,10 +307,10 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             logder = _logder_from_char(chi, dchi)
             return eps * logder[:, 0] * phi * np.conj(logder[:, 1])
 
-        return Estimator(name, pair_func, pred, (eps, phi.conjugate()), pair_char)
-    if name == "completed_logder_pair":
-        eps = complex(params.get("eps", 0.3))
-        phi = complex(params.get("phi", 0.3))
+        est = Estimator(pair_func, pred, (eps, phi.conjugate()), pair_char)
+    elif name == "completed_logder_pair":
+        eps = complex(params.pop("eps", 0.3))
+        phi = complex(params.pop("phi", 0.3))
         pred = completed_logders_main((eps,), (phi,), big_n)
 
         def completed_func(e):
@@ -328,23 +324,17 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             rhs = -big_n / 2 + phi * np.conj(logder[:, 1])
             return lhs * rhs
 
-        return Estimator(
-            name, completed_func, pred, (eps, phi.conjugate()), completed_char
-        )
-    if name == "explicit_sum":
-        from .rmt import catalog_function
-
-        h = catalog_function(params.get("h", "one"))
+        est = Estimator(completed_func, pred, (eps, phi.conjugate()), completed_char)
+    elif name == "explicit_sum":
+        h = catalog_function(params.pop("h", "one"))
 
         def explicit_func(e):
             return np.sum(h(e), axis=1)
 
-        return Estimator(name, explicit_func, None)
-    if name == "schur_pair":
-        from .symfunc import schur_in_monomials
-
-        mu = tuple(params.get("mu", ()))
-        nu = tuple(params.get("nu", ()))
+        est = Estimator(explicit_func)
+    elif name == "schur_pair":
+        mu = tuple(params.pop("mu", ()))
+        nu = tuple(params.pop("nu", ()))
         mu_expansion = schur_in_monomials(mu, big_n)
         nu_expansion = schur_in_monomials(nu, big_n)
 
@@ -354,8 +344,12 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             return s_mu * np.conj(s_nu)
 
         pred = (1.0 + 0j) if (mu == nu and len(mu) <= big_n) else 0j
-        return Estimator(name, schur_func, pred)
-    raise ValueError(f"unknown estimator {name!r}")
+        est = Estimator(schur_func, pred)
+    else:
+        raise ValueError(f"unknown estimator {name!r}")
+    if params:
+        raise ValueError(f"estimator {name!r} does not read {', '.join(sorted(params))}")
+    return est
 
 
 def _monomial_batch_sum(expansion, eigs: np.ndarray) -> np.ndarray:

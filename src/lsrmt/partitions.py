@@ -1,4 +1,4 @@
-"""Partitions as tuples: diagrams, ribbons, overlaps and staircase walks.
+"""Partitions as tuples: diagrams, ribbons, overlaps and overlap fibers.
 
 A partition is a weakly decreasing tuple of non-negative integers; the
 canonical form drops trailing zeros and all functions here return canonical
@@ -67,12 +67,6 @@ def multiplicities(lam) -> dict[int, int]:
     for p in canonical(lam):
         mult[p] = mult.get(p, 0) + 1
     return mult
-
-
-def add(lam, mu) -> Partition:
-    """Elementwise sum of (zero-padded) part sequences."""
-    n = max(len(lam), len(mu))
-    return canonical(tuple(part(lam, j) + part(mu, j) for j in range(1, n + 1)))
 
 
 def complement(lam, m: int, n: int) -> Partition:
@@ -249,65 +243,16 @@ def overlap(mu, nu, m: int, n: int) -> OverlapOutcome:
     return OverlapOutcome(lam, sign)
 
 
-# -- staircase walks --------------------------------------------------------
-
-@dataclass(frozen=True)
-class StaircaseWalk:
-    """Walk across an n-columns-by-m-rows rectangle using west/south steps.
-
-    Stored as a string over {V, H} read in walk order from the top-right
-    corner; V is a south (vertical) step, H a west (horizontal) step.
-    """
-    steps: str
-
-    def __post_init__(self):
-        if set(self.steps) - {"V", "H"}:
-            raise ValueError(f"bad step string {self.steps!r}")
-
-    @property
-    def vertical_count(self) -> int:
-        return self.steps.count("V")
-
-    @property
-    def horizontal_count(self) -> int:
-        return self.steps.count("H")
-
-    def v_times(self) -> tuple[int, ...]:
-        """1-based times of vertical steps."""
-        return tuple(i + 1 for i, s in enumerate(self.steps) if s == "V")
-
-    def h_times(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, s in enumerate(self.steps) if s == "H")
-
-    def upper_partition(self) -> Partition:
-        """mu(pi), the shape above the walk (inside <n^m> for m rows)."""
-        n = self.horizontal_count
-        return canonical(tuple(n + i - t for i, t in enumerate(self.v_times(), 1)))
-
-    def lower_partition_conjugate(self) -> Partition:
-        """nu(pi)', read off the horizontal step times."""
-        m = self.vertical_count
-        return canonical(tuple(m + j - t for j, t in enumerate(self.h_times(), 1)))
-
-
-def walks_in_rectangle(n: int, m: int):
-    """All staircase walks across an n x m rectangle (n columns, m rows).
-
-    Enumerated in lexicographic order of the vertical-step times; this order
-    is part of the external contract.
-    """
-    for v_positions in itertools.combinations(range(m + n), m):
-        chars = ["H"] * (m + n)
-        for p in v_positions:
-            chars[p] = "V"
-        yield StaircaseWalk("".join(chars))
-
+# -- overlap fibers ---------------------------------------------------------
 
 def overlap_fiber(lam, m: int, n: int) -> list[tuple[Partition, Partition, int]]:
     """All (mu, nu, sign) whose (m,n)-overlap is lam, one per staircase walk.
 
-    The walk pi across the n x m rectangle maps to
-    (mu(pi) + lam_V, nu(pi)' + lam_H) with sign (-1)^{|nu(pi)|}.
+    A walk pi across the n x m rectangle is the set V of its m south-step
+    times in 1..m+n, with H the remaining (west-step) times.  It maps to
+    (mu(pi) + lam_V, nu(pi)' + lam_H) with sign (-1)^{mn - |mu(pi)|}, where
+    mu(pi)_i = n + i - V_i and nu(pi)'_j = m + j - H_j.  Walks come in
+    lexicographic order of V; this order is part of the external contract.
     """
     return list(_overlap_fiber(canonical(lam), m, n))
 
@@ -316,14 +261,14 @@ def overlap_fiber(lam, m: int, n: int) -> list[tuple[Partition, Partition, int]]
 def _overlap_fiber(lam: Partition, m: int, n: int) -> tuple[tuple[Partition, Partition, int], ...]:
     if len(lam) > m + n:
         raise ValueError(f"l({lam}) > {m + n}")
-    lam_pad = lam + (0,) * (m + n - len(lam))
+    times = range(1, m + n + 1)
     out = []
-    for walk in walks_in_rectangle(n, m):
-        v, h = walk.v_times(), walk.h_times()
-        mu = add(walk.upper_partition(), tuple(lam_pad[t - 1] for t in v))
-        nu = add(walk.lower_partition_conjugate(), tuple(lam_pad[t - 1] for t in h))
-        lower_size = m * n - size(walk.upper_partition())
-        out.append((mu, nu, -1 if lower_size % 2 else 1))
+    for v in itertools.combinations(times, m):
+        h = [t for t in times if t not in v]
+        upper = [n + i - t for i, t in enumerate(v, 1)]
+        mu = canonical(p + part(lam, t) for p, t in zip(upper, v))
+        nu = canonical(m + j - t + part(lam, t) for j, t in enumerate(h, 1))
+        out.append((mu, nu, -1 if (m * n - sum(upper)) % 2 else 1))
     return tuple(out)
 
 

@@ -33,6 +33,8 @@ from .symfunc import (
     neg,
     ordered_splits,
     powersum_r,
+    schur_comb,
+    schur_det,
 )
 
 PART_CAP = 60
@@ -102,8 +104,6 @@ def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
     s_<N^m>(A cup B^{-1}) with m = l(B); split_sum form: the equivalent sum
     over splits of A cup B^{-1} into m and n variables.
     """
-    from .symfunc import schur_comb, schur_det
-
     a_vars, b_vars = as_varset(a_vars), as_varset(b_vars)
     if any(v == 0 for v in a_vars + b_vars):
         raise ValueError("variables must be non-zero")

@@ -39,42 +39,12 @@ class SchurExpansion:
     def add_term(self, lam, coeff):
         self[lam] = self[lam] + Fraction(coeff)
 
-    def __add__(self, other):
-        out = type(self)(self.terms)
-        for lam, c in other.terms.items():
-            out.add_term(lam, c)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        names = ", ".join(f"{lam}: {c}" for lam, c in sorted(self.terms.items()))
-        return f"{type(self).__name__}({{{names}}})"
-
-    def to_json(self):
-        return [
-            {
-                "partition": list(lam),
-                "numerator": c.numerator,
-                "denominator": c.denominator,
-            }
-            for lam, c in sorted(self.terms.items())
-        ]
-
     def evaluate(self, xs) -> complex:
         """The expansion's value at xs, each Schur function by the tableau route."""
         xs = as_varset(xs)
         return sum(
             (complex(c) * schur_comb(lam, xs) for lam, c in self.terms.items()), 0j
         )
-
-
-def schur(lam) -> SchurExpansion:
-    return SchurExpansion({canonical(lam): 1})
 
 
 def mn_multiply(k: int, f: SchurExpansion) -> SchurExpansion:

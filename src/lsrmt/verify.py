@@ -82,29 +82,36 @@ def random_partition(rng, max_size, max_len=None, max_part=None):
     return pool[int(rng.integers(len(pool)))]
 
 
-def _report(identity, seed, instances, max_err, tol, failures):
-    return {
-        "identity": identity,
-        "seed": seed,
-        "instances": instances,
-        "max_rel_err": max_err,
-        "tolerance": tol,
-        "pass": not failures,
-        "failures": failures[:5],
-    }
+class _Checks:
+    """One suite run's largest error and its failures."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.max_err = 0.0
+        self.failures = []
+
+    def record(self, err: float, tol: float | None = None, **context):
+        """Count err; above tol (the suite's by default) it is a failure with context."""
+        self.max_err = max(self.max_err, err)
+        if err > (self.tol if tol is None else tol):
+            self.failures.append({**context, "err": err})
+
+    def report(self, identity: str, seed: int, instances: int) -> dict:
+        return {
+            "identity": identity,
+            "seed": seed,
+            "instances": instances,
+            "max_rel_err": self.max_err,
+            "tolerance": self.tol,
+            "pass": not self.failures,
+            "failures": self.failures[:5],
+        }
 
 
 def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> dict:
     """The five characterizing properties of Littlewood-Schur functions."""
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
-
-    def record(name, err, ctx):
-        nonlocal max_err
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append({"property": name, "err": err, **ctx})
-
+    checks = _Checks(tol)
     for _ in range(instances):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         lam = random_partition(rng, 6)
@@ -121,28 +128,28 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         ))
 
         # homogeneity: LS(-aX; aY) = a^{|lam|} LS(-X; Y)
-        record("homogeneity", rel_err(scaled, a ** sum(lam) * base), {"lam": list(lam)})
+        checks.record(rel_err(scaled, a ** sum(lam) * base), property="homogeneity", lam=list(lam))
 
         # double symmetry under independent permutations
-        record("double-symmetry", rel_err(permuted, base), {"lam": list(lam)})
+        checks.record(rel_err(permuted, base), property="double-symmetry", lam=list(lam))
 
         # restriction: appending zero changes nothing (combinatorial route)
         comb = ls_comb(lam, neg(xs), ys)
-        record(
-            "restriction",
+        checks.record(
             max(
                 rel_err(ls_comb(lam, neg(xs) + (0j,), ys), comb),
                 rel_err(ls_comb(lam, neg(xs), ys + (0j,)), comb),
             ),
-            {"lam": list(lam)},
+            property="restriction",
+            lam=list(lam),
         )
 
         # cancellation: x_n = y_m removes one variable from each side
         t = complex(*rng.uniform(0.4, 1.1, size=2))
-        record(
-            "cancellation",
+        checks.record(
             rel_err(ls_comb(lam, neg(xs) + (-t,), ys + (t,)), comb),
-            {"lam": list(lam)},
+            property="cancellation",
+            lam=list(lam),
         )
 
         # factorization at lam = (<m^n> + alpha) cup beta'
@@ -156,14 +163,14 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         )
         got = ls_det(lam_f, xs, ys)
         want = delta2(ys, xs) * schur_det(alpha, neg(xs)) * schur_det(beta, ys)
-        record("factorization", rel_err(got, want), {"lam": list(lam_f)})
-    return _report("ls-properties", seed, instances, max_err, tol, failures)
+        checks.record(rel_err(got, want), property="factorization", lam=list(lam_f))
+    return checks.report("ls-properties", seed, instances)
 
 
 def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
     """Seeded random instances of the first overlap identity."""
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
+    checks = _Checks(tol)
     done = 0
     while done < instances:
         n = int(rng.integers(1, 5))
@@ -180,20 +187,15 @@ def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> 
         ys = random_points(rng, m, avoid=xs)
         lhs = ls_det(lam, xs, ys)
         rhs = first_overlap_rhs(mu, nu, l, tail, xs, ys)
-        err = rel_err(lhs, rhs)
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append(
-                {"lam": list(lam), "mu": list(mu), "nu": list(nu), "l": l, "err": err}
-            )
+        checks.record(rel_err(lhs, rhs), lam=list(lam), mu=list(mu), nu=list(nu), l=l)
         done += 1
-    return _report("first-overlap", seed, instances, max_err, tol, failures)
+    return checks.report("first-overlap", seed, instances)
 
 
 def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
     """Seeded random instances of the second overlap identity."""
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
+    checks = _Checks(tol)
     done = 0
     while done < instances:
         n = int(rng.integers(1, 5))
@@ -207,12 +209,9 @@ def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) ->
         s_vars, t_vars, ys = pts[:l], pts[l:n], pts[n:]
         lhs = ls_det(lam, s_vars + t_vars, ys)
         rhs = second_overlap_rhs(lam, s_vars, t_vars, ys)
-        err = rel_err(lhs, rhs)
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append({"lam": list(lam), "l": l, "m": m, "n": n, "err": err})
+        checks.record(rel_err(lhs, rhs), lam=list(lam), l=l, m=m, n=n)
         done += 1
-    return _report("second-overlap", seed, instances, max_err, tol, failures)
+    return checks.report("second-overlap", seed, instances)
 
 
 def verify_subpartition_form(seed: int, instances: int = 1, tol: float = 1e-10) -> dict:
@@ -222,7 +221,7 @@ def verify_subpartition_form(seed: int, instances: int = 1, tol: float = 1e-10) 
     report counts the kappa checks.
     """
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
+    checks = _Checks(tol)
     count = 0
     for m, n, ell, _ in itertools.product((1, 2), (1, 2), (1, 2), range(instances)):
         pts = random_points(rng, m + n)
@@ -248,18 +247,15 @@ def verify_subpartition_form(seed: int, instances: int = 1, tol: float = 1e-10) 
                         * schur_det(second, t_vars)
                     )
             rhs = total / delta2(s_vars, t_vars)
-            err = rel_err(lhs, rhs)
-            max_err = max(max_err, err)
+            checks.record(rel_err(lhs, rhs), kappa=list(kappa), m=m, n=n, l=ell)
             count += 1
-            if err > tol:
-                failures.append({"kappa": list(kappa), "m": m, "n": n, "l": ell, "err": err})
-    return _report("subpartition-form", seed, count, max_err, tol, failures)
+    return checks.report("subpartition-form", seed, count)
 
 
 def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
     """Adjointness (exact), negative-power variants, and MN for LS."""
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
+    checks = _Checks(tol)
 
     def random_expansion():
         out = SchurExpansion()
@@ -277,7 +273,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
         if hall_inner(mn_derive(k, f), g) != hall_inner(f, mn_multiply(k, g)):
             exact_bad += 1
     if exact_bad:
-        failures.append({"check": "adjointness", "violations": exact_bad})
+        checks.failures.append({"check": "adjointness", "violations": exact_bad})
 
     for _ in range(instances):
         n = int(rng.integers(1, 4))
@@ -289,7 +285,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
         try:
             mn_negative(mu, k, xs, tol=tol)
         except AssertionError:
-            failures.append({"check": "mn-negative-r", "mu": list(mu), "k": k})
+            checks.failures.append({"check": "mn-negative-r", "mu": list(mu), "k": k})
 
     # composite operator route for p_{-lambda}
     for _ in range(max(instances // 10, 5)):
@@ -306,10 +302,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
             op = mn_derive(p, op)
         lhs = op.evaluate(xs)
         rhs = schur_comb(mu, xs) * basis_eval("powersum_neg", lam, xs)
-        err = rel_err(lhs, rhs)
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append({"check": "mn-negative-lambda", "mu": list(mu), "lam": list(lam), "err": err})
+        checks.record(rel_err(lhs, rhs), check="mn-negative-lambda", mu=list(mu), lam=list(lam))
 
     # MN for Littlewood-Schur, |mu| <= 6, k <= 4, at one (X, Y): each shape once
     xs = random_points(rng, 2)
@@ -331,17 +324,14 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
                 (-1) ** s.height * ls_at(s.end)
                 for s in ribbons_added(mu, k)
             )
-            err = rel_err(lhs, rhs)
-            max_err = max(max_err, err)
-            if err > tol:
-                failures.append({"check": "mn-for-ls", "mu": list(mu), "k": k, "err": err})
-    return _report("mn-all", seed, instances, max_err, tol, failures)
+            checks.record(rel_err(lhs, rhs), check="mn-for-ls", mu=list(mu), k=k)
+    return checks.report("mn-all", seed, instances)
 
 
 def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
     """Cauchy (truncated), dual Cauchy (exact), generalized Cauchy."""
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
+    checks = _Checks(tol)
 
     # Cauchy identity: values scaled so |xy| <= 0.5, truncation at L = 40
     for _ in range(instances):
@@ -356,10 +346,7 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
         partial = 0j
         for sx, sy in zip(_schur_det_many(pool, xs), _schur_det_many(pool, ys)):
             partial += sx * sy
-        err = abs(partial - closed) / max(1.0, abs(closed))
-        max_err = max(max_err, err)
-        if err > tol:
-            failures.append({"check": "cauchy", "err": err})
+        checks.record(abs(partial - closed) / max(1.0, abs(closed)), check="cauchy")
 
     # dual Cauchy: finite, exact to 1e-10
     for _ in range(instances):
@@ -377,10 +364,7 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
                 _schur_det_many(pool, xs), _schur_det_many([conjugate(lam) for lam in pool], ys)
             )
         )
-        err = rel_err(total, closed)
-        max_err = max(max_err, err)
-        if err > 1e-10:
-            failures.append({"check": "dual-cauchy", "err": err})
+        checks.record(rel_err(total, closed), tol=1e-10, check="dual-cauchy")
 
     # generalized Cauchy with one variable per set, |values| <= 0.4
     for _ in range(max(instances // 4, 3)):
@@ -399,11 +383,10 @@ def verify_cauchy(seed: int, instances: int = 20, tol: float = 1e-8) -> dict:
             ),
             0j,
         )
-        err = abs(total - closed) / max(1.0, abs(closed))
-        max_err = max(max_err, err)
-        if err > 1e-6:
-            failures.append({"check": "generalized-cauchy", "err": err})
-    return _report("cauchy", seed, instances, max_err, tol, failures)
+        checks.record(
+            abs(total - closed) / max(1.0, abs(closed)), tol=1e-6, check="generalized-cauchy"
+        )
+    return checks.report("cauchy", seed, instances)
 
 
 def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) -> dict:
@@ -411,7 +394,7 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
     if instances != 3:
         raise ValueError(f"recipe-consistency runs exactly 3 checks, not {instances}")
     rng = np.random.default_rng(seed)
-    max_err, failures = 0.0, []
+    checks = _Checks(tol)
 
     # E = F = {}: ratios
     a = random_points(rng, 1, rmin=0.8, rmax=1.2)
@@ -421,10 +404,7 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
     big_n = 10
     got = recipe_main(RecipeInput(a, b, c, d, (), (), big_n), part_cap=30, size_cap=30)
     want = ratio_avg(a, b, c, d, big_n)
-    err = rel_err(got, want)
-    max_err = max(max_err, err)
-    if err > tol:
-        failures.append({"check": "recipe-to-ratios", "err": err})
+    checks.record(rel_err(got, want), check="recipe-to-ratios")
 
     # A..D = {}: logarithmic derivatives
     eps = complex(rng.uniform(0.2, 0.35))
@@ -433,10 +413,7 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
         RecipeInput((), (), (), (), (eps,), (phi,), 14), part_cap=40, size_cap=20
     )
     want = logders_main((eps,), (phi,))
-    err = rel_err(got, want)
-    max_err = max(max_err, err)
-    if err > tol:
-        failures.append({"check": "recipe-to-logders", "err": err})
+    checks.record(rel_err(got, want), check="recipe-to-logders")
 
     # F = {}, single epsilon, B and C present: ratio-and-log-derivative form
     bb = (complex(rng.uniform(0.4, 0.55)),)
@@ -445,11 +422,8 @@ def verify_recipe_consistency(seed: int, instances: int = 3, tol: float = 1e-6) 
         RecipeInput((), bb, cc, (), (eps,), (), 30), part_cap=40, size_cap=20
     )
     want = _logders_ratio_main_single(bb, cc, eps)
-    err = rel_err(got, want)
-    max_err = max(max_err, err)
-    if err > tol:
-        failures.append({"check": "recipe-to-logders-ratio", "err": err})
-    return _report("recipe-consistency", seed, instances, max_err, tol, failures)
+    checks.record(rel_err(got, want), check="recipe-to-logders-ratio")
+    return checks.report("recipe-consistency", seed, instances)
 
 
 def _logders_ratio_main_single(b_vars, c_vars, eps) -> complex:

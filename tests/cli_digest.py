@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 43 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 45 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  Run it on two checkouts and compare the lines:
 
@@ -30,6 +30,8 @@ MC_LOGDER = ["--N", "20", "--M", "1000", "--seed", "2", "--eps", "0.4", "--phi",
 INVOCATIONS = (
     [["verify", suite, "--seed", "0"] for suite in SUITES]
     + [["verify", "recipe-consistency", "--seed", "3"]]
+    + [["verify", "subpartition", "--seed", "0"],
+       ["verify", "subpartition", "--seed", "1", "--instances", "2"]]
     + [["verify", suite, "--seed", str(seed), "--instances", str(count)]
        for seed in (1, 2) for suite, count in BENCH_INSTANCES.items()]
     + [["mc", "--estimator", est, *MC_SMALL] for est in (

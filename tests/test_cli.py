@@ -104,6 +104,17 @@ def test_unknown_estimator_exits_2(capsys):
     assert code == 2
 
 
+def test_mc_refuses_parameters_the_estimator_does_not_read(capsys):
+    args = ["mc", "--estimator", "abs_char_sq", "--N", "4", "--M", "1000"]
+    code, payload = run_json([*args, "--eps", "0.4", "--a", "0.3"], capsys)
+    assert code == 2
+    assert set(payload) == {"schema", "error"}
+    assert payload["error"].endswith("does not read a, eps")
+    code, payload = run_json([*args, "--z", "0.6+0.8j"], capsys)
+    assert code == 0
+    assert payload["config"]["params"] == {"z": {"re": 0.6, "im": 0.8}}
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_mc_nonpositive_workers_exit_2(workers, capsys):
     code, payload = run_json(
@@ -151,6 +162,36 @@ def test_verify_subpartition_fails_at_impossible_tolerance(capsys):
     assert code == 1
     assert payload["report"]["pass"] is False
     assert payload["report"]["failures"]
+
+
+@pytest.mark.parametrize(
+    "suite,instances,keys",
+    [
+        ("ls-properties", "2", {"property", "lam", "err"}),
+        ("overlap-1", "3", {"lam", "mu", "nu", "l", "err"}),
+        ("overlap-2", "3", {"lam", "l", "m", "n", "err"}),
+        ("subpartition", "1", {"kappa", "m", "n", "l", "err"}),
+        # the first failures are mn-negative-r checks, which report no error
+        ("mn-all", "5", {"check", "mu", "k"}),
+        ("cauchy", "1", {"check", "err"}),
+        ("recipe-consistency", "3", {"check", "err"}),
+    ],
+)
+def test_verify_failure_reports(suite, instances, keys, capsys):
+    args = ["verify", suite, "--seed", "2", "--instances", instances]
+    code, payload = run_json(args, capsys)
+    assert code == 0
+    passing = payload["report"]
+    code, payload = run_json([*args, "--tolerance", "1e-30"], capsys)
+    assert code == 1
+    report = payload["report"]
+    assert report["pass"] is False
+    assert 1 <= len(report["failures"]) <= 5
+    assert [set(f) for f in report["failures"]] == [keys] * len(report["failures"])
+    # the tolerance decides what fails, never what is measured
+    assert (report["max_rel_err"], report["instances"]) == (
+        passing["max_rel_err"], passing["instances"]
+    )
 
 
 def test_verify_subpartition_instances_draw_more_points(capsys):

@@ -122,6 +122,27 @@ def test_mc_abs_char_sq():
     assert abs(out.mean - 4) < 4 * out.stderr
 
 
+# the parameters each named estimator reads
+ESTIMATOR_PARAMS = {
+    "one": (), "trace": (), "abs_trace_sq": (), "abs_char_sq": ("z",),
+    "ratio": ("a", "b", "c", "d"), "logder_pair": ("eps", "phi"),
+    "completed_logder_pair": ("eps", "phi"), "explicit_sum": ("h",), "schur_pair": ("mu", "nu"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATOR_PARAMS))
+def test_make_estimator_refuses_parameters_it_does_not_read(name):
+    make_estimator(name, 2)
+    keys = set().union(*ESTIMATOR_PARAMS.values()) - set(ESTIMATOR_PARAMS[name])
+    for key in sorted(keys):
+        with pytest.raises(ValueError) as exc:
+            make_estimator(name, 2, **{key: 0.5})
+        assert str(exc.value) == f"estimator {name!r} does not read {key}"
+    with pytest.raises(ValueError) as exc:
+        make_estimator(name, 2, zeta=0.5, omega=1)
+    assert str(exc.value).endswith("does not read omega, zeta")
+
+
 def test_mc_eigenangle_density_uniform():
     # marginal eigenangle density is uniform: bin counts match N/bins
     big_n, bins, samples = 5, 16, 20000

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 
 from lsrmt.overlap_identities import first_overlap_rhs, second_overlap_rhs
@@ -10,7 +12,6 @@ from lsrmt.partitions import (
     overlap_fiber,
     part,
     partitions_up_to,
-    walks_in_rectangle,
 )
 from lsrmt.symfunc import (
     delta2,
@@ -137,22 +138,18 @@ def test_labeled_walk_form_matches_fiber_term_by_term():
     s_vars, t_vars = pts[:m], pts[m:]
     lam_pad = lam + (0,) * (m + n - len(lam))
     walk_terms = []
-    for pi in walks_in_rectangle(n, m):
-        v, h = pi.v_times(), pi.h_times()
-        mu = tuple(
-            a + b
-            for a, b in zip(
-                pi.upper_partition() + (0,) * m, tuple(lam_pad[t - 1] for t in v)
-            )
-        )
-        nu = tuple(
-            a + b
-            for a, b in zip(
-                pi.lower_partition_conjugate() + (0,) * n,
-                tuple(lam_pad[t - 1] for t in h),
-            )
-        )
-        sign = (-1) ** (m * n - sum(pi.upper_partition()))
+    # each walk across the n x m rectangle as its step string (V south, H west);
+    # mu(pi)_i counts the west steps after the i-th south step, nu(pi)'_j the
+    # south steps after the j-th west step
+    for south in combinations(range(m + n), m):
+        steps = "".join("V" if i in south else "H" for i in range(m + n))
+        v = [i + 1 for i, s in enumerate(steps) if s == "V"]
+        h = [i + 1 for i, s in enumerate(steps) if s == "H"]
+        upper = [steps[i:].count("H") for i, s in enumerate(steps) if s == "V"]
+        lower_conj = [steps[i:].count("V") for i, s in enumerate(steps) if s == "H"]
+        mu = tuple(a + lam_pad[t - 1] for a, t in zip(upper, v))
+        nu = tuple(b + lam_pad[t - 1] for b, t in zip(lower_conj, h))
+        sign = (-1) ** (m * n - sum(upper))
         walk_terms.append((canonical(mu), canonical(nu), sign))
     assert walk_terms == overlap_fiber(lam, m, n)
     # and the summed labeled-walk form reproduces s_lam(S cup T)

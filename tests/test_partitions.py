@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lsrmt.partitions import (
-    add,
     c_seq,
     canonical,
     complement,
@@ -20,9 +19,8 @@ from lsrmt.partitions import (
     ribbons_removed,
     size,
     sub_partition,
-    walks_in_rectangle,
 )
-from util import brute_force_ribbons_added, random_partition, ribbon_height, z_stat
+from util import add, brute_force_ribbons_added, random_partition, ribbon_height, z_stat
 
 partition_st = st.lists(st.integers(0, 8), max_size=6).map(
     lambda xs: canonical(sorted(xs, reverse=True))
@@ -176,17 +174,12 @@ def test_overlap_length_precondition():
 
 
 def test_walk_worked_example():
-    # the walk with V = (2,3,7) in a 6 x 3 rectangle
-    walk = next(
-        w for w in walks_in_rectangle(6, 3) if w.v_times() == (2, 3, 7)
-    )
-    assert w_eq(walk.h_times(), (1, 4, 5, 6, 8, 9))
-    assert walk.upper_partition() == (5, 5, 2)
-    assert conjugate(walk.lower_partition_conjugate()) == (4, 1, 1)
-
-
-def w_eq(a, b):
-    return tuple(a) == tuple(b)
+    # the walk with south-step times V = (2,3,7) in a 6 x 3 rectangle has west-step
+    # times H = (1,4,5,6,8,9), mu(pi) = (5,5,2) and nu(pi) = (4,1,1); with lam = ()
+    # it is the fiber's entry 31, the index of V among the 3-subsets of 1..9
+    fiber = overlap_fiber((), 3, 6)
+    assert len(fiber) == comb(9, 3)
+    assert fiber[31] == ((5, 5, 2), conjugate((4, 1, 1)), 1)
 
 
 def test_overlap_fiber_worked_example():
@@ -195,8 +188,8 @@ def test_overlap_fiber_worked_example():
 
 
 def test_overlap_fiber_small():
-    fiber = overlap_fiber((), 1, 1)
-    assert set(fiber) == {((1,), (), 1), ((), (1,), -1)}
+    # in lexicographic order of the south-step times: V = (1,), then V = (2,)
+    assert overlap_fiber((), 1, 1) == [((1,), (), 1), ((), (1,), -1)]
 
 
 def test_overlap_fiber_returns_a_fresh_list():

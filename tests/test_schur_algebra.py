@@ -10,7 +10,6 @@ from lsrmt.schur_algebra import (
     mn_derive,
     mn_multiply,
     mn_negative,
-    schur,
 )
 from lsrmt.symfunc import basis_eval, ls_comb, schur_comb
 from util import random_points, random_partition, rel_err
@@ -27,21 +26,24 @@ def random_expansion(rng, max_size=6, terms=3):
     return out
 
 
+def schur(lam):
+    return SchurExpansion({lam: 1})
+
+
 def test_expansion_basics():
-    f = SchurExpansion({(2, 1): 1, (1,): Fraction(1, 2)})
-    g = SchurExpansion({(1,): Fraction(-1, 2)})
-    assert (f + g)[(1,)] == 0
-    assert (f + g)[(2, 1)] == 1
-    assert not SchurExpansion()
+    f = SchurExpansion({(2, 1): 1, (1,): Fraction(1, 2), (3,): 0})
+    f.add_term((1,), Fraction(-1, 2))
+    assert f.terms == {(2, 1): 1}
+    assert f[(1,)] == 0 and f[(2, 1, 0)] == 1
+    assert SchurExpansion().terms == {}
 
 
 def test_mn_multiply_single_box():
-    assert mn_multiply(1, schur(())) == schur((1,))
+    assert mn_multiply(1, schur(())).terms == {(1,): 1}
 
 
 def test_mn_multiply_p2_on_s1():
-    got = mn_multiply(2, schur((1,)))
-    assert got == SchurExpansion({(3,): 1, (1, 1, 1): -1})
+    assert mn_multiply(2, schur((1,))).terms == {(3,): 1, (1, 1, 1): -1}
 
 
 def test_mn_multiply_numeric_oracle():
@@ -56,8 +58,8 @@ def test_mn_multiply_numeric_oracle():
 
 
 def test_mn_derive_examples():
-    assert mn_derive(2, schur((3,))) == schur((1,))
-    assert mn_derive(1, schur(())) == SchurExpansion()
+    assert mn_derive(2, schur((3,))).terms == {(1,): 1}
+    assert mn_derive(1, schur(())).terms == {}
 
 
 def test_adjointness_exact():
@@ -131,10 +133,3 @@ def test_mn_for_ls_numeric():
             for s in ribbons_added(mu, k)
         )
         assert rel_err(lhs, rhs) < 1e-9
-
-
-def test_serialization():
-    f = SchurExpansion({(2, 1): Fraction(3, 4)})
-    assert f.to_json() == [
-        {"partition": [2, 1], "numerator": 3, "denominator": 4}
-    ]

@@ -1,9 +1,9 @@
 """Shared test helpers: the seeded-instance helpers and the tests' own oracles.
 
-The oracles are reference formulas that only the tests call: ribbon heights
-and horizontal strips read off the diagram, the leading moment coefficient
-f_k, the Vandermonde product, e_r and h_r summed over subsets, and the exact
-z-statistic.
+The oracles are reference formulas that only the tests call: the part-wise
+sum of two partitions, ribbon heights and horizontal strips read off the
+diagram, the leading moment coefficient f_k, the Vandermonde product, e_r and
+h_r summed over subsets, and the exact z-statistic.
 """
 
 from __future__ import annotations
@@ -15,6 +15,12 @@ from math import factorial
 from lsrmt.partitions import canonical, contains, multiplicities, part, partitions_of, size
 from lsrmt.symfunc import _delta, as_varset, e_prod
 from lsrmt.verify import random_partition, random_points, rel_err  # noqa: F401
+
+
+def add(lam, mu):
+    """Elementwise sum of (zero-padded) part sequences."""
+    n = max(len(lam), len(mu))
+    return canonical(tuple(part(lam, j) + part(mu, j) for j in range(1, n + 1)))
 
 
 def brute_force_ribbons_added(mu, k, max_len=None):
