@@ -59,8 +59,6 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
-    if hasattr(value, "to_json"):
-        return value.to_json()
     return value
 
 

@@ -3,12 +3,14 @@
 There are two samplers of the Haar measure on U(N).  The spectral one draws a
 complex Ginibre matrix, orthonormalizes by QR and fixes the phases so the
 triangular factor has positive real diagonal, which yields the exact Haar
-distribution; only spectra are retained.  Estimators that read the
-characteristic polynomial at a few points only use the second: independent
+distribution; only spectra are retained.  Monte Carlo of an estimator that
+reads the characteristic polynomial at a few points uses the second: independent
 Verblunsky coefficients (Killip & Nenciu, IMRN 2004) and the Szegő recursion
 give chi_g and chi_g' there in O(N) per point, with no matrix; `ratio`
 draws them from a tilted law and weights each value by the likelihood ratio,
 which divides out the heavy tail of a ratio of characteristic polynomials.
+Each such estimator is written once, on (chi_g, chi_g'); called on spectra
+(QR samples, a Weyl mesh) it reads that pair off the eigenvalues instead.
 Monte Carlo estimates are chunked with per-chunk seeded generators and a
 fixed-order reduction, so results depend only on (seed, M), never on
 scheduling.
@@ -174,35 +176,28 @@ def _tilted_char_batch(rng, count: int, big_n: int, points, tilt):
 
 # -- batched estimators ---------------------------------------------------------
 
-def _char_batch(eigs: np.ndarray, z: complex) -> np.ndarray:
-    """chi_g(z) = det(I - z g^{-1}) = prod (1 - z conj(rho)), one per spectrum."""
-    return np.prod(1 - z * np.conj(eigs), axis=1)
+def _spectral_char(eigs: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """chi_g and chi_g' at each point from spectra, each of shape (count, len(points)).
 
-
-def _logder_batch(eigs: np.ndarray, z: complex) -> np.ndarray:
-    """Vectorized chi'/chi with NaN marking pole-adjacent samples."""
-    conj = np.conj(eigs)
-    denom = 1 - z * conj
-    vals = np.sum(-conj / denom, axis=1)
-    bad = np.min(np.abs(eigs - z), axis=1) < POLE_EPS
-    vals = np.where(bad, np.nan + 1j * np.nan, vals)
-    return vals
-
-
-def _logder_inv_batch(eigs: np.ndarray, z: complex) -> np.ndarray:
-    """chi'_{g^{-1}} / chi_{g^{-1}} evaluated on the spectrum of g."""
-    return _logder_batch(np.conj(eigs), z)
+    chi_g(z) = det(I - z g^{-1}) = prod_j (1 - z conj(rho_j)) and
+    chi_g'(z) = chi_g(z) sum_j -conj(rho_j) / (1 - z conj(rho_j)): the pair
+    _szego_batch gives from Verblunsky coefficients.
+    """
+    conj = np.conj(eigs)[:, None, :]
+    factors = 1 - np.asarray(points, dtype=complex)[None, :, None] * conj
+    chi = np.prod(factors, axis=2)
+    # a point on an eigenvalue gives a zero factor and chi = 0; the pole rule rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return chi, chi * np.sum(-conj / factors, axis=2)
 
 
 def _logder_from_char(chi: np.ndarray, dchi: np.ndarray) -> np.ndarray:
     """chi'/chi with NaN where |chi| < POLE_EPS.
 
-    Since |chi_g(z)| = prod_j |rho_j - z|, this rejects a sample when the
-    product of the distances from z to the eigenvalues is below POLE_EPS,
-    where the spectral route rejects when the smallest distance is.  One
-    small distance alone need not trip this test (the other factors may be
-    large), and several moderately small ones can; both tests reject only
-    samples in a neighbourhood of the pole set of chi'/chi.
+    This is the one pole rule, on spectra and on Verblunsky draws alike.
+    Since |chi_g(z)| = prod_j |rho_j - z|, it rejects a sample when the
+    product of the distances from z to the eigenvalues is below POLE_EPS, a
+    neighbourhood of the pole set of chi'/chi.
     """
     vals = dchi / chi
     return np.where(np.abs(chi) < POLE_EPS, np.nan + 1j * np.nan, vals)
@@ -211,18 +206,20 @@ def _logder_from_char(chi: np.ndarray, dchi: np.ndarray) -> np.ndarray:
 class Estimator:
     """Batch functional over spectra, optionally with a predicted mean.
 
-    An estimator that reads the characteristic polynomial only at a few
-    points also carries `points` and `char_func`: char_func(chi, dchi) gives
-    the same values as func from chi_g and chi_g' at those points, arrays of
-    shape (count, len(points)).  chi_{g^{-1}}(w) = conj(chi_g(conj(w))), so
-    points for g^{-1} enter conjugated.  One whose values grow like
-    prod_j |chi_g(z_j)|^tilt_j also carries that `tilt`; mc_average then draws
-    from the tilted law of _tilted_char_batch and weights each value, and its
-    char_func reads chi only (dchi is None).  These are plain instance
-    attributes, so a wrapper made with functools.wraps carries them too, and
-    mc_average evaluates such a wrapper through the copied char_func alone:
-    the wrapper's own body never runs, and `est.func` is the way to reach the
-    QR route.
+    Called on a (count, N) array of spectra it returns one value per row.  An
+    estimator that reads the characteristic polynomial only at a few points
+    is defined by those `points` and a `char_func` in place of a `func`:
+    char_func(chi, dchi) maps chi_g and chi_g' at the points, arrays of shape
+    (count, len(points)), to the values.  A call reads them off the spectra
+    (_spectral_char); mc_average draws them from Verblunsky coefficients.
+    chi_{g^{-1}}(w) = conj(chi_g(conj(w))), so points for g^{-1} enter
+    conjugated.  One whose values grow like prod_j |chi_g(z_j)|^tilt_j also
+    carries that `tilt`; mc_average then draws from the tilted law of
+    _tilted_char_batch and weights each value, and its char_func reads chi
+    only (dchi is None).  These are plain instance attributes, so a wrapper
+    made with functools.wraps carries them too, and mc_average evaluates such
+    a wrapper through the copied char_func alone: the wrapper's own body never
+    runs.
     """
 
     def __init__(self, func, prediction=None, points=None, char_func=None, tilt=None):
@@ -233,7 +230,9 @@ class Estimator:
         self.tilt = tilt
 
     def __call__(self, eigs: np.ndarray) -> np.ndarray:
-        return self.func(eigs)
+        if self.char_func is None:
+            return self.func(eigs)
+        return self.char_func(*_spectral_char(eigs, self.points))
 
 
 def make_estimator(name: str, big_n: int, **params) -> Estimator:
@@ -253,29 +252,13 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
         z = complex(params.pop("z", 1.0))
         pred = complex(moment_unitary(1, big_n)) if abs(abs(z) - 1) < 1e-12 else None
         est = Estimator(
-            lambda e: np.abs(_char_batch(e, z)).astype(complex) ** 2,
-            pred,
-            (z,),
-            lambda chi, dchi: np.abs(chi[:, 0]).astype(complex) ** 2,
+            None, pred, (z,), lambda chi, dchi: np.abs(chi[:, 0]).astype(complex) ** 2
         )
     elif name == "ratio":
         a = tuple(params.pop("a", ()))
         b = tuple(params.pop("b", ()))
         c = tuple(params.pop("c", ()))
         d = tuple(params.pop("d", ()))
-
-        def ratio_func(e):
-            out = np.ones(e.shape[0], dtype=complex)
-            for alpha in a:
-                out = out * _char_batch(e, alpha)
-            for beta in b:
-                out = out * _char_batch(np.conj(e), beta)
-            for delta_ in d:
-                out = out / _char_batch(e, delta_)
-            for gamma in c:
-                out = out / _char_batch(np.conj(e), gamma)
-            return out
-
         # chi_g at a and d, chi_{g^{-1}} at b and c
         points = (*a, *np.conj(b), *d, *np.conj(c))
         cuts = np.cumsum([len(a), len(b), len(d)])
@@ -294,29 +277,21 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             pass
         # |chi_g| at a and conj(b) up, at d and conj(c) down
         tilt = (1,) * (len(a) + len(b)) + (-1,) * (len(d) + len(c))
-        est = Estimator(ratio_func, pred, points, ratio_char, tilt)
+        est = Estimator(None, pred, points, ratio_char, tilt)
     elif name == "logder_pair":
         eps = complex(params.pop("eps", 0.3))
         phi = complex(params.pop("phi", 0.3))
         pred = eps * phi * logders_main((eps,), (phi,))
 
-        def pair_func(e):
-            return eps * _logder_batch(e, eps) * phi * _logder_inv_batch(e, phi)
-
         def pair_char(chi, dchi):
             logder = _logder_from_char(chi, dchi)
             return eps * logder[:, 0] * phi * np.conj(logder[:, 1])
 
-        est = Estimator(pair_func, pred, (eps, phi.conjugate()), pair_char)
+        est = Estimator(None, pred, (eps, phi.conjugate()), pair_char)
     elif name == "completed_logder_pair":
         eps = complex(params.pop("eps", 0.3))
         phi = complex(params.pop("phi", 0.3))
         pred = completed_logders_main((eps,), (phi,), big_n)
-
-        def completed_func(e):
-            lhs = -big_n / 2 + eps * _logder_batch(e, eps)
-            rhs = -big_n / 2 + phi * _logder_inv_batch(e, phi)
-            return lhs * rhs
 
         def completed_char(chi, dchi):
             logder = _logder_from_char(chi, dchi)
@@ -324,7 +299,7 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             rhs = -big_n / 2 + phi * np.conj(logder[:, 1])
             return lhs * rhs
 
-        est = Estimator(completed_func, pred, (eps, phi.conjugate()), completed_char)
+        est = Estimator(None, pred, (eps, phi.conjugate()), completed_char)
     elif name == "explicit_sum":
         h = catalog_function(params.pop("h", "one"))
 
@@ -362,47 +337,37 @@ def _monomial_batch_sum(expansion, eigs: np.ndarray) -> np.ndarray:
     return out
 
 
-def mc_average(
-    functional,
-    big_n: int,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-    chunk: int = CHUNK,
-) -> MCEstimate:
-    """Monte Carlo average of a named or callable functional over Haar samples.
+def mc_average(functional, big_n: int, samples: int, seed: int, workers: int = 1) -> MCEstimate:
+    """Monte Carlo average of a callable functional over Haar samples.
 
     A functional with a `char_func` (see Estimator) is evaluated only through
     that char_func, on chi_g and chi_g' from Verblunsky coefficients (drawn
     from the tilted law and weighted when it carries a `tilt`); its own call
     is never made, so the body of a functools.wraps wrapper around an
     Estimator does not run.  Any other callable gets spectra from QR.  The
-    sample stream is split into fixed chunks; chunk i uses the generator
-    seeded by SeedSequence((seed, i)).  Rejected (NaN) evaluations are
-    dropped and counted.
+    sample stream is split into chunks of CHUNK samples; chunk i uses the
+    generator seeded by SeedSequence((seed, i)).  Rejected (NaN) evaluations
+    are dropped and counted.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    est = (
-        functional
-        if callable(functional)
-        else make_estimator(functional, big_n)
-    )
-    if getattr(est, "tilt", None) is not None:
+    if getattr(functional, "tilt", None) is not None:
         def evaluate(rng, count):
-            chi, weight = _tilted_char_batch(rng, count, big_n, est.points, est.tilt)
-            return weight * est.char_func(chi, None)
-    elif getattr(est, "char_func", None) is not None:
+            chi, weight = _tilted_char_batch(
+                rng, count, big_n, functional.points, functional.tilt
+            )
+            return weight * functional.char_func(chi, None)
+    elif getattr(functional, "char_func", None) is not None:
         def evaluate(rng, count):
             alpha = _verblunsky_batch(rng, count, big_n)
-            return est.char_func(*_szego_batch(alpha, est.points))
+            return functional.char_func(*_szego_batch(alpha, functional.points))
     else:
         def evaluate(rng, count):
-            return est(_haar_batch(rng, count, big_n))
+            return functional(_haar_batch(rng, count, big_n))
 
-    bounds = [(i, min(chunk, samples - i * chunk)) for i in range((samples + chunk - 1) // chunk)]
+    bounds = [(i, min(CHUNK, samples - i * CHUNK)) for i in range((samples + CHUNK - 1) // CHUNK)]
 
     def run_chunk(args):
         index, count = args

@@ -211,7 +211,7 @@ def logders_main(
         raise TruncationError(f"tail bound {tail:.3e} exceeds {tol}")
     total = 0j
     for lam in _partitions_exact_length(nparts, part_cap):
-        shifted = canonical(tuple(p - 1 for p in lam))
+        shifted = _shift_down(lam)
         total += (
             _z_float(lam)
             * monomial_eval(shifted, e_vars)

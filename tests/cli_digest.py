@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 45 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 69 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  Run it on two checkouts and compare the lines:
 
@@ -47,16 +47,36 @@ INVOCATIONS = (
     + [["compute", "ratio-main", "--N", "6", "--a", "0.7,1.1j", "--b", "0.8",
         "--c", "0.3", "--d", "0.2,0.1j"]]
     + [["compute", "schur", f"--lambda={lam}", "--x=0.5,1.2j,-0.7+0.3j,0.9-0.4j",
-        "--method", "comb"] for lam in ("3,2,1", "4,1")]
+        "--method", method] for lam in ("3,2,1", "4,1") for method in ("comb", "det")]
     + [["compute", "ls", "--lambda=3,2,1", "--x=0.5,1.2j", "--y=-0.7+0.3j,0.9-0.4j",
-        "--method", "comb"]]
+        "--method", method] for method in ("comb", "det")]
     + [["compute", "explicit-rhs", "--N", "8", *args] for args in (
         ["--n", "1", "--h", "rational:2"],
         ["--n", "2", "--h", "one", "--f-key", "sum", "--grid", "16"],
         ["--n", "2", "--h", "identity", "--f-key", "prod", "--r", "0.4", "--grid", "16"],
         ["--n", "3", "--h", "one", "--f-key", "sum", "--grid", "8"],
         ["--n", "3", "--h", "identity", "--f-key", "sum", "--grid", "8", "--r", "0.4"])]
+    + [["compute", "moment", "--k", k, "--N", "5"] for k in ("1", "2", "3")]
+    + [["compute", "overlap", "--mu", mu, "--nu", nu, "--m", m, "--n", n]
+       for mu, nu, m, n in (("3,1", "2", "2", "1"), ("1", "1", "1", "1"), ("2,1", "1", "1", "1"))]
+    + [["compute", "index", "--lambda", lam, "--m", "1", "--n", "1"] for lam in ("3,1", "3,3,1")]
+    + [["compute", "lrcoeff", "--lambda", "3,2,1", "--mu", "2,1", "--nu", nu]
+       for nu in ("2,1", "3")]
+    + [["mc", "--estimator", "explicit_sum", *MC_SMALL, "--h", "rational:2"],
+       ["mc", "--estimator", "logder_pair", *MC_SMALL, "--workers", "2"]]
+    # the exit-2 paths: a truncation tail bound, an unread parameter, an unknown suite
+    + [["compute", "logders-main", "--e", "0.9", "--f", "0.9", "--part-cap", "5"],
+       ["mc", "--estimator", "abs_char_sq", *MC_SMALL, "--eps", "0.4"],
+       ["verify", "nosuch"]]
 )
+# the csv and text renderings of one compute, one mc and one verify payload
+INVOCATIONS += [
+    ["--output", output, *argv]
+    for output in ("csv", "text")
+    for argv in (["compute", "moment", "--k", "2", "--N", "5"],
+                 ["mc", "--estimator", "abs_char_sq", *MC_SMALL],
+                 ["verify", "cauchy", "--seed", "0"])
+]
 
 
 def digest(argv) -> str:

@@ -211,7 +211,7 @@ def test_c7_monte_carlo_reproduction():
     ok = True
 
     # (a) second moment of |chi(1)| at N = 3
-    out = mc_average("abs_char_sq", big_n=3, samples=100_000, seed=701)
+    out = mc_average(make_estimator("abs_char_sq", 3), big_n=3, samples=100_000, seed=701)
     z = abs(out.mean - 4.0) / out.stderr
     ok &= z < 4
     details.append(f"a:z={z:.2f}")

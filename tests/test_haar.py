@@ -9,10 +9,9 @@ from lsrmt.haar import (
     WEYL_CHUNK,
     MCEstimate,
     PoleProximityError,
-    _char_batch,
     _haar_batch,
-    _logder_batch,
-    _logder_inv_batch,
+    _logder_from_char,
+    _spectral_char,
     _szego_batch,
     _tilted_char_batch,
     _verblunsky_batch,
@@ -40,16 +39,25 @@ def test_sample_haar_deterministic():
     assert np.array_equal(a, b)
 
 
+def _logder(eigs, z):
+    """chi'/chi at z for each spectrum, through the estimators' pole guard."""
+    return _logder_from_char(*_spectral_char(eigs, (z,)))[:, 0]
+
+
 def test_char_poly_at_zero():
     eigs = _haar_batch(np.random.default_rng(1), 4, 5)
-    assert _char_batch(eigs, 0) == pytest.approx(np.ones(4))
+    chi, dchi = _spectral_char(eigs, (0, 0.5))
+    assert chi.shape == dchi.shape == (4, 2)
+    assert chi[:, 0] == pytest.approx(np.ones(4))
+    # chi'(0) = -conj(p_1)
+    assert dchi[:, 0] == pytest.approx(-np.conj(np.sum(eigs, axis=1)))
 
 
 def test_log_deriv_series_identity():
     # chi'/chi(eps) = -sum_m eps^{m-1} conj(p_m) for |eps| < 1
     eigs = _haar_batch(np.random.default_rng(3), 4, 6)
     eps = 0.3 + 0.05j
-    direct = _logder_batch(eigs, eps)
+    direct = _logder(eigs, eps)
     series = np.zeros(4, dtype=complex)
     for m in range(1, 200):
         pm = np.sum(eigs ** m, axis=1)
@@ -58,11 +66,12 @@ def test_log_deriv_series_identity():
 
 
 def test_log_deriv_pole_guard():
-    # a point on an eigenvalue marks that sample NaN, leaving the others finite
+    # a point on an eigenvalue marks that sample NaN, leaving the others finite;
+    # the spectrum of g^{-1} is conj(eigs)
     eigs = _haar_batch(np.random.default_rng(9), 3, 4)
     for vals in (
-        _logder_batch(eigs, eigs[0, 0]),
-        _logder_inv_batch(eigs, np.conj(eigs[0, 0])),
+        _logder(eigs, eigs[0, 0]),
+        _logder(np.conj(eigs), np.conj(eigs[0, 0])),
     ):
         assert np.isnan(vals[0].real) and np.isnan(vals[0].imag)
         assert np.all(np.isfinite(vals[1:]))
@@ -74,13 +83,13 @@ def test_functional_equation():
     eigs = _haar_batch(np.random.default_rng(11), 4, big_n)
     for z in (0.4 + 0.2j, 1.7 - 0.3j, 0.9j):
         w = 1 / z
-        lhs = -big_n / 2 + z * _logder_batch(eigs, z)
-        rhs = -(-big_n / 2 + w * _logder_inv_batch(eigs, w))
+        lhs = -big_n / 2 + z * _logder(eigs, z)
+        rhs = -(-big_n / 2 + w * _logder(np.conj(eigs), w))
         assert np.all(np.abs(lhs - rhs) < 1e-9 * np.maximum(1, np.abs(lhs)))
 
 
 def test_mc_average_constant():
-    est = mc_average("one", big_n=3, samples=500, seed=5)
+    est = mc_average(make_estimator("one", 3), big_n=3, samples=500, seed=5)
     assert est.mean == pytest.approx(1)
     assert est.stderr == 0
     assert est.samples == 500
@@ -88,7 +97,7 @@ def test_mc_average_constant():
 
 def test_mc_average_rejects_small_m():
     with pytest.raises(ValueError):
-        mc_average("one", big_n=2, samples=10, seed=0)
+        mc_average(make_estimator("one", 2), big_n=2, samples=10, seed=0)
 
 
 def test_mc_average_all_rejected_raises_pole_error():
@@ -100,18 +109,19 @@ def test_mc_average_all_rejected_raises_pole_error():
 
 
 def test_mc_average_deterministic_across_workers():
-    a = mc_average("trace", big_n=3, samples=2000, seed=13, workers=1)
-    b = mc_average("trace", big_n=3, samples=2000, seed=13, workers=4)
+    est = make_estimator("trace", 3)
+    a = mc_average(est, big_n=3, samples=2000, seed=13, workers=1)
+    b = mc_average(est, big_n=3, samples=2000, seed=13, workers=4)
     assert a == b
 
 
 def test_mc_trace_zero():
-    est = mc_average("trace", big_n=5, samples=20000, seed=21)
+    est = mc_average(make_estimator("trace", 5), big_n=5, samples=20000, seed=21)
     assert abs(est.mean) < 4 * est.stderr
 
 
 def test_mc_abs_trace_sq_one():
-    est = mc_average("abs_trace_sq", big_n=4, samples=20000, seed=22)
+    est = mc_average(make_estimator("abs_trace_sq", 4), big_n=4, samples=20000, seed=22)
     assert abs(est.mean - 1) < 4 * est.stderr
 
 
@@ -147,8 +157,6 @@ def test_mc_eigenangle_density_uniform():
     # marginal eigenangle density is uniform: bin counts match N/bins
     big_n, bins, samples = 5, 16, 20000
     rng = np.random.default_rng(31)
-    from lsrmt.haar import _haar_batch
-
     counts = np.zeros((samples, bins))
     done = 0
     while done < samples:
@@ -269,9 +277,9 @@ def test_szego_chi_matches_the_spectrum_of_its_zeros():
     for row, coeffs in enumerate(alpha):
         eigs = _paraorthogonal_zeros(coeffs)[None, :]
         assert np.allclose(np.abs(eigs), 1, atol=1e-10)
-        for col, z in enumerate(points):
-            assert abs(chi[row, col] - _char_batch(eigs, z)[0]) < 1e-10
-            assert abs(dchi[row, col] / chi[row, col] - _logder_batch(eigs, z)[0]) < 1e-9
+        spectral, dspectral = _spectral_char(eigs, points)
+        assert np.max(np.abs(chi[row] - spectral[0])) < 1e-10
+        assert np.max(np.abs(dchi[row] / chi[row] - dspectral[0] / spectral[0])) < 1e-9
 
 
 def test_szego_derivative_matches_finite_difference():
@@ -286,14 +294,14 @@ def test_szego_derivative_matches_finite_difference():
 @pytest.mark.parametrize("big_n", [1, 2, 10, 50])
 def test_verblunsky_abs_char_sq_mean(big_n):
     samples = 20000
-    out = mc_average("abs_char_sq", big_n, samples, seed=40 + big_n)
+    out = mc_average(make_estimator("abs_char_sq", big_n), big_n, samples, seed=40 + big_n)
     # exact sigma: the sample stderr of |chi|^2 underestimates its heavy tail
     var = float(moment_unitary(2, big_n) - moment_unitary(1, big_n) ** 2)
     assert abs(out.mean - (big_n + 1)) < 4 * sqrt(var / samples)
 
 
 def test_verblunsky_abs_char_sq_at_n0_is_exactly_one():
-    out = mc_average("abs_char_sq", 0, 500, seed=1)
+    out = mc_average(make_estimator("abs_char_sq", 0), 0, 500, seed=1)
     assert out.mean == 1 and out.stderr == 0 and out.samples == 500
 
 
@@ -305,27 +313,74 @@ def test_char_estimators_skip_the_spectral_sampler(monkeypatch):
     for name, params in CHAR_ESTIMATORS.items():
         mc_average(make_estimator(name, 4, **params), 4, 200, seed=3)
     with pytest.raises(AssertionError):
-        mc_average("trace", 4, 200, seed=3)
+        mc_average(make_estimator("trace", 4), 4, 200, seed=3)
 
 
 @pytest.mark.parametrize("name", sorted(CHAR_ESTIMATORS))
 def test_verblunsky_agrees_with_qr(name):
-    # two-sample z-test; est.func is the spectral form, so it takes the QR route
+    # two-sample z-test; a plain lambda carries no char_func, so it takes the QR
+    # route and the estimator reads chi off the spectra
     big_n, samples = 6, 20000
     est = make_estimator(name, big_n, **CHAR_ESTIMATORS[name])
     fast = mc_average(est, big_n, samples, seed=50)
-    spectral = mc_average(est.func, big_n, samples, seed=51)
+    spectral = mc_average(lambda e: est(e), big_n, samples, seed=51)
     z = abs(fast.mean - spectral.mean) / np.hypot(fast.stderr, spectral.stderr)
     assert z < 4, (name, fast, spectral)
 
 
 @pytest.mark.parametrize("name", sorted(CHAR_ESTIMATORS))
-def test_verblunsky_deterministic_across_workers_and_wrapping(name):
+def test_verblunsky_deterministic_across_workers_and_wrapping(name, monkeypatch):
+    monkeypatch.setattr(haar, "CHUNK", 700)
     est = make_estimator(name, 5, **CHAR_ESTIMATORS[name])
-    base = mc_average(est, 5, 3000, seed=13, workers=1, chunk=700)
-    assert mc_average(est, 5, 3000, seed=13, workers=4, chunk=700) == base
+    base = mc_average(est, 5, 3000, seed=13, workers=1)
+    assert mc_average(est, 5, 3000, seed=13, workers=4) == base
     wrapped = functools.wraps(est)(lambda e: est(e))
-    assert mc_average(wrapped, 5, 3000, seed=13, workers=1, chunk=700) == base
+    assert mc_average(wrapped, 5, 3000, seed=13, workers=1) == base
+
+
+def _direct_char_values(name, params, eigs):
+    """Each char estimator's value straight from its definition on spectra."""
+    big_n = eigs.shape[1]
+    conj = np.conj(eigs)
+
+    def chi(z):  # chi_g(z) = det(I - z g^{-1})
+        return np.prod(1 - z * conj, axis=1)
+
+    def chi_inv(w):  # chi_{g^{-1}}(w) = det(I - w g)
+        return np.prod(1 - w * eigs, axis=1)
+
+    if name == "abs_char_sq":
+        return np.abs(chi(params["z"])) ** 2
+    if name == "ratio":
+        out = np.ones(eigs.shape[0], dtype=complex)
+        for a in params["a"]:
+            out *= chi(a)
+        for b in params["b"]:
+            out *= chi_inv(b)
+        for d in params["d"]:
+            out /= chi(d)
+        for c in params["c"]:
+            out /= chi_inv(c)
+        return out
+    eps, phi = params["eps"], params["phi"]
+    lhs = eps * np.sum(-conj / (1 - eps * conj), axis=1)
+    rhs = phi * np.sum(-eigs / (1 - phi * eigs), axis=1)
+    if name == "logder_pair":
+        return lhs * rhs
+    return (-big_n / 2 + lhs) * (-big_n / 2 + rhs)
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_ESTIMATORS))
+def test_char_estimators_on_spectra_match_their_definitions(name):
+    # several points per set in ratio, so the split bookkeeping is exercised
+    params = dict(CHAR_ESTIMATORS[name])
+    if name == "ratio":
+        params = {"a": (0.7, 0.5j), "b": (0.8 - 0.1j, -0.4), "c": (0.3, 0.2j), "d": (0.2 + 0.1j,)}
+    eigs = _haar_batch(np.random.default_rng(12), 32, 7)
+    got = make_estimator(name, 7, **params)(eigs)
+    want = _direct_char_values(name, params, eigs)
+    assert got.shape == want.shape == (32,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_verblunsky_pole_guard():

@@ -4,12 +4,17 @@ Only the program counts as a caller: src/ and the non-test files of perfbench/.
 A reference from tests/ or perfbench/test_*.py alone keeps nothing alive, so
 no code path exists only for the tests.
 
-A top-level def or class is referenced when its name appears outside its own
-definition, in a counted file, as an identifier, an attribute, an imported
-name or a whole string constant (perfbench names the functions it traces by
-string).  A non-dunder method or property of a class C is referenced when its
-name appears outside its own definition as a whole string constant, or as an
-attribute in a module that names C or a subclass of C; same-named methods of
+A string vouches for a name only where it names an attribute: as the
+attribute argument of getattr/hasattr/setattr, or as any whole string
+constant in perfbench's non-test files (perfbench names the functions it
+traces by string).  A string that merely equals a name, such as a CLI target
+or a default mode, keeps nothing alive.  A top-level def or class is
+referenced when its name appears outside its own definition, in a counted
+file, as an identifier, an attribute, an imported name or such a string.  A
+non-dunder method or property of a class C is referenced when its name
+appears outside its own definition as such a string, or as an attribute in a
+module that names C, a subclass of C, or a package function whose return
+annotation is C (how an `MCEstimate` reaches the CLI); same-named methods of
 unrelated classes do not vouch for each other.  Dunder methods are neither
 checked nor counted as callers: the interpreter calls them implicitly, so the
 guard cannot tell whether they run.  A module's imports must each be used in
@@ -34,8 +39,29 @@ def _counted_trees():
     return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
-def _names(node) -> set[str]:
-    """Identifiers, attribute names, imported names and string constants under node."""
+def _traced(path) -> bool:
+    """Whether path is perfbench code, whose string constants all count as references."""
+    return "perfbench" in Path(path).parts
+
+
+def _string_reference(node, traced: bool):
+    """The name a string in node vouches for, or None."""
+    if traced and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr", "setattr")
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    ):
+        return node.args[1].value
+    return None
+
+
+def _names(node, traced: bool) -> set[str]:
+    """Identifiers, attribute names, imported names and vouching strings under node."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -46,8 +72,8 @@ def _names(node) -> set[str]:
             out.update(sub.name.split("."))
             if sub.asname:
                 out.add(sub.asname)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.add(sub.value)
+        elif (string := _string_reference(sub, traced)) is not None:
+            out.add(string)
     return out
 
 
@@ -55,13 +81,13 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def test_every_top_level_definition_is_referenced():
-    trees = _counted_trees()
-    names = {path: _names(tree) for path, tree in trees.items()}
+def _unreferenced_definitions(trees, package) -> list[str]:
+    """Top-level defs and classes of the package files with no caller in trees."""
+    names = {path: _names(tree, _traced(path)) for path, tree in trees.items()}
     unreferenced = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in package:
         body = trees[path].body
-        per_statement = [_names(stmt) for stmt in body]
+        per_statement = [_names(stmt, _traced(path)) for stmt in body]
         elsewhere = set().union(*(n for p, n in names.items() if p != path))
         for i, stmt in enumerate(body):
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -69,11 +95,15 @@ def test_every_top_level_definition_is_referenced():
             in_module = any(stmt.name in n for j, n in enumerate(per_statement) if j != i)
             if not in_module and stmt.name not in elsewhere:
                 unreferenced.append(f"{path.name}::{stmt.name}")
-    assert unreferenced == []
+    return unreferenced
 
 
-def _method_references(tree, skip):
-    """(attribute names, string constants) in tree outside the nodes in skip."""
+def test_every_top_level_definition_is_referenced():
+    assert _unreferenced_definitions(_counted_trees(), sorted(PACKAGE.glob("*.py"))) == []
+
+
+def _method_references(tree, skip, traced: bool):
+    """(attribute names, vouching strings) in tree outside the nodes in skip."""
     attrs, strings = set(), set()
     stack = [tree]
     while stack:
@@ -82,17 +112,17 @@ def _method_references(tree, skip):
             continue
         if isinstance(node, ast.Attribute):
             attrs.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            strings.add(node.value)
+        elif (string := _string_reference(node, traced)) is not None:
+            strings.add(string)
         stack.extend(ast.iter_child_nodes(node))
     return attrs, strings
 
 
-def test_every_method_is_referenced():
-    trees = _counted_trees()
+def _unreferenced_methods(trees, package) -> list[str]:
+    """Non-dunder methods of the package's classes with no caller in trees."""
     classes = {
         stmt.name: (path, stmt)
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in package
         for stmt in trees[path].body
         if isinstance(stmt, ast.ClassDef)
     }
@@ -116,8 +146,18 @@ def test_every_method_is_referenced():
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and _is_dunder(node.name)
     }
-    named = {path: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-             for path, tree in trees.items()}
+    # a class also reaches every module that calls a function declared to return it
+    returns = {
+        stmt.name: stmt.returns.id
+        for path in package
+        for stmt in trees[path].body
+        if isinstance(stmt, ast.FunctionDef) and isinstance(stmt.returns, ast.Name)
+    }
+    named = {}
+    for path, tree in trees.items():
+        ids = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        called = ids | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        named[path] = ids | {returns[f] for f in called & returns.keys()}
     unreferenced = []
     for name, (path, cls) in classes.items():
         relatives = family(name)
@@ -126,7 +166,7 @@ def test_every_method_is_referenced():
                 continue
             found = False
             for other, tree in trees.items():
-                attrs, strings = _method_references(tree, dunders | {method})
+                attrs, strings = _method_references(tree, dunders | {method}, _traced(other))
                 if method.name in strings or (
                     method.name in attrs and named[other] & relatives
                 ):
@@ -134,7 +174,35 @@ def test_every_method_is_referenced():
                     break
             if not found:
                 unreferenced.append(f"{path.name}::{name}.{method.name}")
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_every_method_is_referenced():
+    assert _unreferenced_methods(_counted_trees(), sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_a_string_that_names_no_attribute_keeps_nothing_alive():
+    sources = {
+        "src/lsrmt/a.py": (
+            "def lonely():\n    pass\n\n\ndef fetched():\n    pass\n\n\n"
+            "def traced():\n    pass\n\n\n"
+            "class Box:\n    def unread(self):\n        pass\n\n"
+            "    def probed(self):\n        pass\n\n"
+            "    def shown(self):\n        pass\n\n\n"
+            "def make() -> Box:\n    return Box()\n"
+        ),
+        "src/lsrmt/b.py": (
+            "from . import a\n\n"
+            'MODES = ("lonely", "unread", "traced")\n'
+            'FOUND = getattr(MODES, "fetched", None), hasattr(MODES, "probed")\n'
+            "SHOWN = a.make().shown()\n"
+        ),
+        "perfbench/tracing.py": 'TRACED = [("span", "lsrmt.a", "traced")]\n',
+    }
+    trees = {Path(name): ast.parse(text) for name, text in sources.items()}
+    package = [path for path in trees if "lsrmt" in path.parts]
+    assert _unreferenced_definitions(trees, package) == ["a.py::lonely"]
+    assert _unreferenced_methods(trees, package) == ["a.py::Box.unread"]
 
 
 def test_every_import_is_used():
