@@ -87,92 +87,71 @@ def _flatten(d, prefix=""):
 def cmd_compute(args) -> tuple[dict, int]:
     target = args.target
     config = {"target": target}
+    truncation = None
     if target == "schur":
         lam = parse_partition(args.lam)
         xs = parse_complex_list(args.x)
-        config.update({"lambda": list(lam), "x": jsonable(xs), "method": args.method})
+        config.update({"lambda": lam, "x": xs, "method": args.method})
         value = (
             symfunc.schur_comb(lam, xs)
             if args.method == "comb"
             else symfunc.schur_det(lam, xs)
         )
-        return {"config": config, "result": jsonable(value)}, 0
-    if target == "ls":
+    elif target == "ls":
         lam = parse_partition(args.lam)
         xs = parse_complex_list(args.x)
         ys = parse_complex_list(args.y)
-        config.update(
-            {"lambda": list(lam), "x": jsonable(xs), "y": jsonable(ys), "method": args.method}
-        )
+        config.update({"lambda": lam, "x": xs, "y": ys, "method": args.method})
         # det computes LS(-X; Y); comb computes LS(X; Y) at the given values
         value = (
             symfunc.ls_comb(lam, xs, ys)
             if args.method == "comb"
             else symfunc.ls_det(lam, xs, ys)
         )
-        return {"config": config, "result": jsonable(value)}, 0
-    if target == "overlap":
+    elif target == "overlap":
         mu, nu = parse_partition(args.mu), parse_partition(args.nu)
-        config.update({"mu": list(mu), "nu": list(nu), "m": args.m, "n": args.n})
-        out = partitions.overlap(mu, nu, args.m, args.n)
-        return {"config": config, "result": out.to_json()}, 0
-    if target == "index":
+        config.update({"mu": mu, "nu": nu, "m": args.m, "n": args.n})
+        value = partitions.overlap(mu, nu, args.m, args.n).to_json()
+    elif target == "index":
         lam = parse_partition(args.lam)
-        config.update({"lambda": list(lam), "m": args.m, "n": args.n})
-        return {"config": config, "result": partitions.mn_index(lam, args.m, args.n)}, 0
-    if target == "lrcoeff":
+        config.update({"lambda": lam, "m": args.m, "n": args.n})
+        value = partitions.mn_index(lam, args.m, args.n)
+    elif target == "lrcoeff":
         lam = parse_partition(args.lam)
         mu, nu = parse_partition(args.mu), parse_partition(args.nu)
-        config.update({"lambda": list(lam), "mu": list(mu), "nu": list(nu)})
-        return {"config": config, "result": symfunc.lr_coeff(lam, mu, nu)}, 0
-    if target == "moment":
+        config.update({"lambda": lam, "mu": mu, "nu": nu})
+        value = symfunc.lr_coeff(lam, mu, nu)
+    elif target == "moment":
         config.update({"k": args.k, "N": args.N})
         value = rmt.moment_unitary(args.k, args.N)
-        return {"config": config, "result": jsonable(value)}, 0
-    if target == "ratio-main":
+    elif target == "ratio-main":
         a, b = parse_complex_list(args.a), parse_complex_list(args.b)
         c, d = parse_complex_list(args.c), parse_complex_list(args.d)
-        config.update(
-            {"a": jsonable(a), "b": jsonable(b), "c": jsonable(c), "d": jsonable(d), "N": args.N}
-        )
+        config.update({"a": a, "b": b, "c": c, "d": d, "N": args.N})
         value = rmt.ratio_avg(a, b, c, d, args.N)
-        return {"config": config, "result": jsonable(value)}, 0
-    if target == "logders-main":
+    elif target == "logders-main":
         e, f = parse_complex_list(args.e), parse_complex_list(args.f)
-        config.update({"e": jsonable(e), "f": jsonable(f), "part_cap": args.part_cap})
+        config.update({"e": e, "f": f, "part_cap": args.part_cap})
         value = rmt.logders_main(e, f, part_cap=args.part_cap)
-        return {
-            "config": config,
-            "result": jsonable(value),
-            "truncation": {"P": args.part_cap, "L": len(e)},
-        }, 0
-    if target == "completed-main":
+        truncation = {"P": args.part_cap, "L": len(e)}
+    elif target == "completed-main":
         e, f = parse_complex_list(args.e), parse_complex_list(args.f)
-        config.update(
-            {"e": jsonable(e), "f": jsonable(f), "N": args.N, "part_cap": args.part_cap}
-        )
+        config.update({"e": e, "f": f, "N": args.N, "part_cap": args.part_cap})
         value = rmt.completed_logders_main(e, f, args.N, part_cap=args.part_cap)
-        return {
-            "config": config,
-            "result": jsonable(value),
-            "truncation": {"P": args.part_cap, "L": min(len(e), len(f))},
-        }, 0
-    if target == "explicit-rhs":
+        truncation = {"P": args.part_cap, "L": min(len(e), len(f))}
+    elif target == "explicit-rhs":
         config.update(
-            {
-                "h": args.h,
-                "f": args.fkey,
-                "n": args.n,
-                "r": args.r,
-                "N": args.N,
-                "grid": args.grid,
-            }
+            {"h": args.h, "f": args.fkey, "n": args.n, "r": args.r, "N": args.N, "grid": args.grid}
         )
         h = rmt.catalog_function(args.h)
         f = rmt.catalog_symmetric(args.fkey, args.n)
         value = rmt.explicit_formula_rhs(h, f, args.n, args.r, args.N, grid=args.grid)
-        return {"config": config, "result": jsonable(value)}, 0
-    raise SystemExit2(f"unknown compute target {target!r}")
+    else:
+        raise SystemExit2(f"unknown compute target {target!r}")
+    payload = {"config": jsonable(config), "result": jsonable(value)}
+    if truncation is not None:
+        payload["truncation"] = truncation
+    return payload, 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -304,10 +283,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.func(args)
-    except SystemExit2 as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
-        return 2
-    except (ValueError, KeyError, TruncationError, QuadratureError) as exc:
+    except (SystemExit2, ValueError, KeyError, TruncationError, QuadratureError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 2
     payload = {"schema": SCHEMA, "command": args.command, **payload}

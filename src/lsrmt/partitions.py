@@ -87,7 +87,11 @@ def mn_index(lam, m: int, n: int) -> int:
 
 
 def partitions_of(s: int, max_part: int | None = None, max_len: int | None = None):
-    """Yield all partitions of s with the given bounds, lex-decreasing."""
+    """Yield all partitions of s with the given bounds, lex-decreasing.
+
+    The first-part loop stops once that part times the length bound falls
+    short of s, so no branch is entered that yields nothing.
+    """
     if s == 0:
         yield ()
         return
@@ -96,6 +100,8 @@ def partitions_of(s: int, max_part: int | None = None, max_len: int | None = Non
     if ml <= 0 or mp <= 0:
         return
     for first in range(mp, 0, -1):
+        if first * ml < s:
+            break
         for rest in partitions_of(s - first, max_part=first, max_len=ml - 1):
             yield (first,) + rest
 
@@ -147,6 +153,25 @@ def _beta(lam, n: int) -> list[int]:
     return [part(lam, i) + n - i for i in range(1, n + 1)]
 
 
+def _beta_moves(lam, n: int, shift: int):
+    """(partition, height) for each move of one of lam's n beta numbers by shift.
+
+    The moved entry must stay non-negative and land on a free value; the
+    other entries keep their places and the result is read off the resorted
+    sequence.  The height is the number of entries jumped over.
+    """
+    beta = _beta(lam, n)
+    present = set(beta)
+    for q in range(n):
+        new = beta[q] + shift
+        if new < 0 or new in present:
+            continue
+        low, high = sorted((beta[q], new))
+        height = sum(1 for b in beta if low < b < high)
+        shifted = sorted(beta[:q] + beta[q + 1:] + [new], reverse=True)
+        yield canonical(tuple(shifted[i] - (n - 1 - i) for i in range(n))), height
+
+
 def ribbons_added(mu, k: int) -> list[RibbonStep]:
     """All lam with lam/mu a k-ribbon, via the sorted-sequence characterization.
 
@@ -157,18 +182,7 @@ def ribbons_added(mu, k: int) -> list[RibbonStep]:
     if k < 1:
         raise ValueError("ribbon size must be >= 1")
     mu = canonical(mu)
-    n = len(mu) + k
-    beta = _beta(mu, n)
-    present = set(beta)
-    out = []
-    for q in range(n):
-        new = beta[q] + k
-        if new in present:
-            continue
-        height = sum(1 for b in beta if beta[q] < b < new)
-        shifted = sorted(beta[:q] + beta[q + 1:] + [new], reverse=True)
-        lam = canonical(tuple(shifted[i] - (n - 1 - i) for i in range(n)))
-        out.append(RibbonStep(mu, lam, k, height))
+    out = [RibbonStep(mu, lam, k, height) for lam, height in _beta_moves(mu, len(mu) + k, k)]
     out.sort(key=lambda r: r.end)
     return out
 
@@ -178,18 +192,7 @@ def ribbons_removed(lam, k: int) -> list[RibbonStep]:
     if k < 1:
         raise ValueError("ribbon size must be >= 1")
     lam = canonical(lam)
-    n = len(lam)
-    beta = _beta(lam, n)
-    present = set(beta)
-    out = []
-    for q in range(n):
-        new = beta[q] - k
-        if new < 0 or new in present:
-            continue
-        height = sum(1 for b in beta if new < b < beta[q])
-        shifted = sorted(beta[:q] + beta[q + 1:] + [new], reverse=True)
-        mu = canonical(tuple(shifted[i] - (n - 1 - i) for i in range(n)))
-        out.append(RibbonStep(mu, lam, k, height))
+    out = [RibbonStep(mu, lam, k, height) for mu, height in _beta_moves(lam, len(lam), -k)]
     out.sort(key=lambda r: r.start)
     return out
 

@@ -15,13 +15,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .partitions import (
-    canonical,
-    multiplicities,
-    partition_pool,
-    partitions_of,
-    partitions_up_to,
-)
+from .partitions import multiplicities, partition_pool, partitions_of, partitions_up_to
 from .symfunc import (
     _delta2,
     _distinct,
@@ -40,6 +34,12 @@ from .symfunc import (
 PART_CAP = 60
 RECIPE_SIZE_CAP = 24
 MAX_GRID_POINTS = 1 << 20
+# certified tail bound the log-derivative main terms must meet
+TAIL_TOL = 1e-10
+# explicit formula: grid-doubling agreement, doublings allowed, partition part cap
+EXPLICIT_TOL = 1e-8
+EXPLICIT_MAX_REFINE = 7
+EXPLICIT_PART_CAP = 40
 
 
 @lru_cache(maxsize=1 << 16)
@@ -137,8 +137,7 @@ def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
         raise ValueError("need l(D) <= N + l(A)")
     if len(c_vars) > big_n:
         raise ValueError("need l(C) <= N")
-    ab = a_vars + inv(b_vars)
-    if not _distinct(ab):
+    if not _distinct(a_vars + inv(b_vars)):
         raise ValueError("A cup B^{-1} must be pairwise distinct")
     cd = 1.0 + 0j
     for gamma in c_vars:
@@ -146,17 +145,26 @@ def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:
             cd /= 1 - gamma * delta_
     prefactor = e_prod(neg(b_vars)) ** big_n
     total = 0j
-    for s, t in ordered_splits(ab, len(b_vars)):
-        term = (
-            e_prod(neg(s)) ** (big_n + len(a_vars) - len(d_vars))
-            * _delta2(d_vars, s)
-            / _delta2(t, s)
-        )
+    for _, t, term in _split_weights(a_vars, b_vars, d_vars, big_n):
         for tt in t:
             for gamma in c_vars:
                 term *= 1 - tt * gamma
         total += term
     return prefactor * cd * total
+
+
+def _split_weights(a_vars, b_vars, d_vars, big_n: int):
+    """(S, T, weight) over the splits of A cup B^{-1} with l(S) = l(B).
+
+    weight = (-S)^{N + l(A) - l(D)} Delta(D; S) / Delta(T; S), the factor that
+    ratio_avg and recipe_main share.
+    """
+    for s, t in ordered_splits(a_vars + inv(b_vars), len(b_vars)):
+        yield s, t, (
+            e_prod(neg(s)) ** (big_n + len(a_vars) - len(d_vars))
+            * _delta2(d_vars, s)
+            / _delta2(t, s)
+        )
 
 
 # -- truncated partition sums with tail certificates --------------------------
@@ -186,12 +194,7 @@ def _pair_sum_tail(cutoff: int, nparts: int, rho: float, scale: float) -> float:
     return const * poly_geom_tail(cutoff, 2 * nparts - 1, rho)
 
 
-def logders_main(
-    e_vars,
-    f_vars,
-    part_cap: int = PART_CAP,
-    tol: float = 1e-10,
-) -> complex:
+def logders_main(e_vars, f_vars, part_cap: int = PART_CAP) -> complex:
     """Main term for averages of products of logarithmic derivatives.
 
     Sum over partitions with exactly l(E) parts of
@@ -207,11 +210,10 @@ def logders_main(
     if rho >= 1:
         raise ValueError("need max|E| max|F| < 1")
     tail = _pair_sum_tail(part_cap, nparts, rho, scale=1.0)
-    if tail > tol:
-        raise TruncationError(f"tail bound {tail:.3e} exceeds {tol}")
+    if tail > TAIL_TOL:
+        raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
     total = 0j
-    for lam in _partitions_exact_length(nparts, part_cap):
-        shifted = _shift_down(lam)
+    for lam, shifted in _exact_length(nparts, range(nparts, nparts * part_cap + 1), part_cap):
         total += (
             _z_float(lam)
             * monomial_eval(shifted, e_vars)
@@ -220,15 +222,17 @@ def logders_main(
     return total
 
 
-def _partitions_exact_length(nparts: int, max_part: int):
-    """Partitions with exactly nparts positive parts, each at most max_part."""
-    if nparts == 0:
-        yield ()
-        return
-    for total in range(nparts, nparts * max_part + 1):
-        for lam in partitions_of(total, max_part=max_part, max_len=nparts):
-            if len(lam) == nparts:
-                yield lam
+def _exact_length(nparts: int, sizes, max_part: int | None):
+    """(lam, lam - <1^nparts>) for lam with exactly nparts parts, each at most max_part.
+
+    Sizes come in the given order, each lex-decreasing: mu = lam - <1^nparts>
+    runs over the partitions of size - nparts with at most nparts parts, each
+    below max_part, and adding 1 to every part keeps the order.
+    """
+    cap = None if max_part is None else max_part - 1
+    for total in sizes:
+        for mu in partitions_of(total - nparts, max_part=cap, max_len=nparts):
+            yield tuple(p + 1 for p in mu) + (1,) * (nparts - len(mu)), mu
 
 
 def completed_logders_main(
@@ -236,7 +240,6 @@ def completed_logders_main(
     f_vars,
     big_n: int,
     part_cap: int = PART_CAP,
-    tol: float = 1e-10,
 ) -> complex:
     """Main term for completed logarithmic derivatives.
 
@@ -252,8 +255,8 @@ def completed_logders_main(
             raise ValueError("need max|E| max|F| < 1")
         amp = max((big_n / 2.0) ** (ne + nf - 2 * j) for j in range(1, maxlen + 1))
         tail = _pair_sum_tail(part_cap, maxlen, rho, scale=max(amp, 1.0))
-        if tail > tol:
-            raise TruncationError(f"tail bound {tail:.3e} exceeds {tol}")
+        if tail > TAIL_TOL:
+            raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
     total = 0j
     for lam in partitions_up_to(maxlen * part_cap, max_part=part_cap, max_len=maxlen):
         total += (
@@ -295,20 +298,6 @@ class RecipeInput:
             raise ValueError("recipe main term needs l(D) <= l(A)")
 
 
-def _multiset_diff(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """a - b as multisets, or None if b is not contained in a."""
-    out = {}
-    for k, v in a.items():
-        rest = v - b.get(k, 0)
-        if rest < 0:
-            return None
-        if rest:
-            out[k] = rest
-    if any(k not in a for k in b):
-        return None
-    return out
-
-
 def _mult_to_partition(mult: dict[int, int]):
     parts = []
     for k in sorted(mult, reverse=True):
@@ -332,19 +321,13 @@ def recipe_main(
     a, b, c, d = inp.a_vars, inp.b_vars, inp.c_vars, inp.d_vars
     e, f = inp.e_vars, inp.f_vars
     big_n = inp.big_n
-    ab = a + inv(b)
     budget = big_n - len(c)
     if budget < 0:
         raise ValueError("need l(C) <= N")
     pk_c = [0j] + [powersum_r(k, c) for k in range(1, size_cap + part_cap + 1)]
     prefactor = e_prod(neg(b)) ** big_n
     total = 0j
-    for s_vars, t_vars in ordered_splits(ab, len(b)):
-        weight = (
-            e_prod(neg(s_vars)) ** (big_n + len(a) - len(d))
-            * _delta2(d, s_vars)
-            / _delta2(t_vars, s_vars)
-        )
+    for s_vars, t_vars, weight in _split_weights(a, b, d, big_n):
         # p_k of the union specialization rho^beta_{-T} cup rho^alpha_D
         pk_rho = [0j] + [
             (-1) ** (k - 1) * powersum_r(k, neg(t_vars)) + powersum_r(k, d)
@@ -360,9 +343,8 @@ def recipe_main(
                     continue
                 for n_ in range(0, budget - q + 1):
                     omega_terms = [
-                        (om, monomial_eval(_shift_down(om), f))
-                        for om in partitions_of(n_, max_len=len(f))
-                        if len(om) == len(f)
+                        (om, monomial_eval(shifted, f))
+                        for om, shifted in _exact_length(len(f), (n_,), None)
                     ]
                     if not omega_terms:
                         continue
@@ -388,10 +370,6 @@ def _subset_splits(values):
         yield from ordered_splits(values, r)
 
 
-def _shift_down(lam):
-    return canonical(tuple(p - 1 for p in lam))
-
-
 def _chi_sums(e_second, neg_s, budget: int) -> list[complex]:
     """For each q <= budget, the chi-sum over l(chi) = l(E''), |chi| = q."""
     nparts = len(e_second)
@@ -403,10 +381,8 @@ def _chi_sums(e_second, neg_s, budget: int) -> list[complex]:
     inv_neg_s = inv(neg_s) if neg_s else ()
     for q in range(nparts, budget + 1):
         acc = 0j
-        for chi in partitions_of(q, max_len=nparts):
-            if len(chi) != nparts:
-                continue
-            term = monomial_eval(_shift_down(chi), neg_e2)
+        for chi, shifted in _exact_length(nparts, (q,), None):
+            term = monomial_eval(shifted, neg_e2)
             for p in chi:
                 term *= powersum_r(p, inv_neg_s)
             acc += term
@@ -419,13 +395,17 @@ def _psi_terms(e_prime, part_cap: int):
     if nparts == 0:
         return [((), 1.0 + 0j)]
     return [
-        (psi, monomial_eval(_shift_down(psi), e_prime))
-        for psi in _partitions_exact_length(nparts, part_cap)
+        (psi, monomial_eval(shifted, e_prime))
+        for psi, shifted in _exact_length(nparts, range(nparts, nparts * part_cap + 1), part_cap)
     ]
 
 
 def _matching_sum(psi, omega, pk_rho, pk_c, size_cap: int, part_cap: int) -> complex:
-    """Sum over (lam, xi) with omega cup xi = psi cup lam as multisets."""
+    """Sum over (lam, xi) with omega cup xi = psi cup lam as multisets.
+
+    lam contains base, the parts omega needs beyond psi, so xi always exists
+    and every part of lam is at most size_cap, inside pk_rho.
+    """
     m_psi = multiplicities(psi)
     m_om = multiplicities(omega)
     req = {}
@@ -441,8 +421,6 @@ def _matching_sum(psi, omega, pk_rho, pk_c, size_cap: int, part_cap: int) -> com
     max_part = min(part_cap, len(pk_rho) - 1)
     for extra in partition_pool(size_cap - req_size, max_part=max_part):
         lam = tuple(sorted(base + extra, reverse=True))
-        if lam and lam[0] >= len(pk_rho):
-            continue
         term = 1 / _z_float(lam)
         for p in lam:
             term *= pk_rho[p]
@@ -453,9 +431,7 @@ def _matching_sum(psi, omega, pk_rho, pk_c, size_cap: int, part_cap: int) -> com
             k: m_psi.get(k, 0) + m_lam.get(k, 0)
             for k in set(m_psi) | set(m_lam)
         }
-        m_xi = _multiset_diff(m_union, m_om)
-        if m_xi is None:
-            continue
+        m_xi = {k: v - m_om.get(k, 0) for k, v in m_union.items() if v > m_om.get(k, 0)}
         factor = 1.0
         for k in set(m_om) | set(m_union):
             factor *= float(k) ** m_om.get(k, 0)
@@ -475,9 +451,6 @@ def explicit_formula_rhs(
     r: float,
     big_n: int,
     grid: int = 32,
-    tol: float = 1e-8,
-    max_refine: int = 7,
-    part_cap: int = 40,
 ) -> complex:
     """Main term of the explicit formula for eigenvalue linear statistics.
 
@@ -490,12 +463,12 @@ def explicit_formula_rhs(
     if n < 1 or n > 3:
         raise ValueError("n must be between 1 and 3")
     return _refine_grid(
-        lambda g: _explicit_rhs_on_grid(h, f, n, r, big_n, g, part_cap),
-        grid, n, tol, max_refine,
+        lambda g: _explicit_rhs_on_grid(h, f, n, r, big_n, g),
+        grid, n, EXPLICIT_TOL, EXPLICIT_MAX_REFINE,
     )
 
 
-def _explicit_rhs_on_grid(h, f, n, r, big_n, grid, part_cap) -> complex:
+def _explicit_rhs_on_grid(h, f, n, r, big_n, grid) -> complex:
     theta = 2.0 * np.pi * np.arange(grid) / grid
     inner_circle = r * np.exp(-1j * theta)
     outer_circle = np.exp(1j * theta) / r
@@ -511,7 +484,7 @@ def _explicit_rhs_on_grid(h, f, n, r, big_n, grid, part_cap) -> complex:
         outer_inv = [1.0 / z for z in zs[k:]]
         lam_len_cap = min(k, n - k)
         for lam in partitions_up_to(
-            lam_len_cap * part_cap, max_part=part_cap, max_len=lam_len_cap
+            lam_len_cap * EXPLICIT_PART_CAP, max_part=EXPLICIT_PART_CAP, max_len=lam_len_cap
         ):
             m1 = monomial_on_arrays(lam, inner_vals, grid ** n)
             m2 = monomial_on_arrays(lam, outer_inv, grid ** n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import Partition, canonical, ribbons_added, ribbons_removed
-from .symfunc import as_varset, basis_eval, schur_comb, schur_det
+from .symfunc import as_varset, basis_eval, inv, schur_comb, schur_det
 
 
 class SchurExpansion:
@@ -91,7 +91,7 @@ def mn_negative(mu, k: int, xs, tol: float = 1e-9) -> complex:
         raise ValueError(f"need 1 <= k <= {mu[-1]}")
     if any(x == 0 for x in xs):
         raise ValueError("variables must be non-zero")
-    lhs = schur_det(mu, xs) * basis_eval("powersum_neg", (k,), xs)
+    lhs = schur_det(mu, xs) * basis_eval((k,), inv(xs))
     rhs = sum(
         ((-1) ** step.height * schur_det(step.start, xs) for step in ribbons_removed(mu, k)),
         0j,

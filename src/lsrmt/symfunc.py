@@ -153,18 +153,14 @@ def powersum_r(r: int, xs) -> complex:
     return sum((x ** r for x in as_varset(xs)), 0j)
 
 
-def basis_eval(kind: str, lam, xs) -> complex:
-    """The power sum p_lambda ("powersum") or p_{-lambda} ("powersum_neg")."""
+def basis_eval(lam, xs) -> complex:
+    """The power sum p_lambda(X); p_{-lambda}(X) is basis_eval(lam, inv(X))."""
     lam = canonical(lam)
     xs = as_varset(xs)
-    if kind == "powersum":
-        out = 1.0 + 0j
-        for p in lam:
-            out *= powersum_r(p, xs)
-        return out
-    if kind == "powersum_neg":
-        return basis_eval("powersum", lam, inv(xs))
-    raise ValueError(f"unknown basis {kind!r}")
+    out = 1.0 + 0j
+    for p in lam:
+        out *= powersum_r(p, xs)
+    return out
 
 
 # -- Schur functions ---------------------------------------------------------

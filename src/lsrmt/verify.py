@@ -46,6 +46,7 @@ from .symfunc import (
     _schur_det_many,
     basis_eval,
     delta2,
+    inv,
     ls_comb,
     ls_det,
     neg,
@@ -301,7 +302,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
         for p in lam:
             op = mn_derive(p, op)
         lhs = op.evaluate(xs)
-        rhs = schur_comb(mu, xs) * basis_eval("powersum_neg", lam, xs)
+        rhs = schur_comb(mu, xs) * basis_eval(lam, inv(xs))
         checks.record(rel_err(lhs, rhs), check="mn-negative-lambda", mu=list(mu), lam=list(lam))
 
     # MN for Littlewood-Schur, |mu| <= 6, k <= 4, at one (X, Y): each shape once
@@ -316,9 +317,7 @@ def verify_mn_all(seed: int, instances: int = 100, tol: float = 1e-9) -> dict:
 
     for mu in partitions_up_to(6):
         for k in range(1, 5):
-            factor = basis_eval("powersum", (k,), xs) + (-1) ** (k - 1) * basis_eval(
-                "powersum", (k,), ys
-            )
+            factor = basis_eval((k,), xs) + (-1) ** (k - 1) * basis_eval((k,), ys)
             lhs = ls_at(mu) * factor
             rhs = sum(
                 (-1) ** s.height * ls_at(s.end)
@@ -431,10 +430,10 @@ def _logders_ratio_main_single(b_vars, c_vars, eps) -> complex:
     total = 0j
     # branch E' = (), E'' = (eps): psi empty, chi = (q)
     for q in range(1, 60):
-        total += (-eps) ** (q - 1) * basis_eval("powersum", (q,), neg(b_vars))
+        total += (-eps) ** (q - 1) * basis_eval((q,), neg(b_vars))
     # branch E' = (eps), E'' = (): psi = (s), omega empty
     for s in range(1, 60):
-        total += eps ** (s - 1) * basis_eval("powersum", (s,), c_vars)
+        total += eps ** (s - 1) * basis_eval((s,), c_vars)
     return -total
 
 

@@ -252,12 +252,12 @@ def test_c7_monte_carlo_reproduction():
 def test_c8_explicit_formula():
     h1 = catalog_function("one")
     f1 = catalog_symmetric("one", 1)
-    exact_n = explicit_formula_rhs(h1, f1, 1, 0.6, 8, grid=16, tol=1e-8)
+    exact_n = explicit_formula_rhs(h1, f1, 1, 0.6, 8, grid=16)
     hz = catalog_function("identity")
-    exact_zero = explicit_formula_rhs(hz, f1, 1, 0.6, 8, grid=16, tol=1e-8)
+    exact_zero = explicit_formula_rhs(hz, f1, 1, 0.6, 8, grid=16)
 
     h = catalog_function("rational:2")
-    rhs = explicit_formula_rhs(h, f1, 1, 0.6, 8, grid=32, tol=1e-8)
+    rhs = explicit_formula_rhs(h, f1, 1, 0.6, 8, grid=32)
     est = make_estimator("explicit_sum", 8, h="rational:2")
     out = mc_average(est, big_n=8, samples=100_000, seed=801)
     z = abs(out.mean - rhs) / out.stderr

@@ -15,9 +15,11 @@ non-dunder method or property of a class C is referenced when its name
 appears outside its own definition as such a string, or as an attribute in a
 module that names C, a subclass of C, or a package function whose return
 annotation is C (how an `MCEstimate` reaches the CLI); same-named methods of
-unrelated classes do not vouch for each other.  Dunder methods are neither
-checked nor counted as callers: the interpreter calls them implicitly, so the
-guard cannot tell whether they run.  A module's imports must each be used in
+unrelated classes do not vouch for each other.  The interpreter calls dunder
+methods implicitly, so the guard cannot see those calls: a class may define
+only the protocol dunders in PROTOCOL_DUNDERS, each listed with a program line
+that exercises it, and any other dunder must be named like a method.  Dunder
+bodies are not counted as callers.  A module's imports must each be used in
 that module, and so must each import of a module under tests/; package
 re-exports in __init__.py and __future__ imports are exempt, and so are the
 imports of a tests/ module marked ``# noqa: F401`` (the re-exports of
@@ -29,6 +31,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lsrmt"
+# dunder -> (package file, a line there that makes the interpreter call it)
+PROTOCOL_DUNDERS = {
+    "__init__": ("verify.py", "checks = _Checks(tol)"),
+    "__post_init__": ("verify.py", "RecipeInput(a, b, c, d, (), (), big_n)"),
+    "__call__": ("haar.py", "return functional(_haar_batch(rng, count, big_n))"),
+    "__getitem__": ("schur_algebra.py", "self[lam] = self[lam] + Fraction(coeff)"),
+    "__setitem__": ("schur_algebra.py", "self[lam] = self[lam] + Fraction(coeff)"),
+}
 
 
 def _counted_trees():
@@ -119,7 +129,7 @@ def _method_references(tree, skip, traced: bool):
 
 
 def _unreferenced_methods(trees, package) -> list[str]:
-    """Non-dunder methods of the package's classes with no caller in trees."""
+    """Methods of the package's classes, protocol dunders aside, with no caller in trees."""
     classes = {
         stmt.name: (path, stmt)
         for path in package
@@ -162,7 +172,7 @@ def _unreferenced_methods(trees, package) -> list[str]:
     for name, (path, cls) in classes.items():
         relatives = family(name)
         for method in cls.body:
-            if not isinstance(method, ast.FunctionDef) or _is_dunder(method.name):
+            if not isinstance(method, ast.FunctionDef) or method.name in PROTOCOL_DUNDERS:
                 continue
             found = False
             for other, tree in trees.items():
@@ -179,6 +189,28 @@ def _unreferenced_methods(trees, package) -> list[str]:
 
 def test_every_method_is_referenced():
     assert _unreferenced_methods(_counted_trees(), sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_each_protocol_dunder_has_its_program_line():
+    missing = [
+        name for name, (module, line) in PROTOCOL_DUNDERS.items()
+        if line not in (PACKAGE / module).read_text()
+    ]
+    assert missing == []
+
+
+def test_a_dunder_outside_the_protocol_needs_a_caller():
+    sources = {
+        "src/lsrmt/a.py": (
+            "class Box:\n    def __init__(self):\n        pass\n\n"
+            "    def __add__(self, other):\n        return self\n\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "src/lsrmt/b.py": "from .a import Box\n\nSIZE = Box().__len__()\n",
+    }
+    trees = {Path(name): ast.parse(text) for name, text in sources.items()}
+    package = [path for path in trees if "lsrmt" in path.parts]
+    assert _unreferenced_methods(trees, package) == ["a.py::Box.__add__"]
 
 
 def test_a_string_that_names_no_attribute_keeps_nothing_alive():

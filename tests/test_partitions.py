@@ -14,13 +14,21 @@ from lsrmt.partitions import (
     mn_index,
     overlap,
     overlap_fiber,
+    partitions_of,
     partitions_up_to,
     ribbons_added,
     ribbons_removed,
     size,
     sub_partition,
 )
-from util import add, brute_force_ribbons_added, random_partition, ribbon_height, z_stat
+from util import (
+    add,
+    brute_force_ribbons_added,
+    random_partition,
+    ribbon_height,
+    unpruned_partitions_of,
+    z_stat,
+)
 
 partition_st = st.lists(st.integers(0, 8), max_size=6).map(
     lambda xs: canonical(sorted(xs, reverse=True))
@@ -91,6 +99,16 @@ def test_mn_index_worked_examples():
 def test_mn_index_empty_and_conjugation(lam, m, n):
     assert mn_index((), m, n) == min(m, n)
     assert mn_index(lam, m, n) == mn_index(conjugate(lam), n, m)
+
+
+def test_partitions_of_matches_the_unpruned_enumerator():
+    bounds = (None, 0, 1, 2, 3, 5, 20)
+    for s in range(17):
+        for max_part in bounds:
+            for max_len in bounds:
+                got = list(partitions_of(s, max_part=max_part, max_len=max_len))
+                want = list(unpruned_partitions_of(s, max_part=max_part, max_len=max_len))
+                assert got == want, (s, max_part, max_len)
 
 
 def test_ribbon_height_examples():

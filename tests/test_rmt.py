@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lsrmt.haar import make_estimator, weyl_quadrature
+from lsrmt.partitions import canonical
 from lsrmt.rmt import (
     RecipeInput,
+    _exact_length,
     catalog_function,
     catalog_symmetric,
     completed_logders_main,
@@ -18,7 +20,7 @@ from lsrmt.rmt import (
     recipe_main,
 )
 from lsrmt.symfunc import schur_comb
-from util import moment_leading, random_points, rel_err, z_stat
+from util import moment_leading, random_points, rel_err, unpruned_partitions_of, z_stat
 
 
 def test_moment_unitary_values():
@@ -142,6 +144,19 @@ def test_logders_main_pair_sum_oracle():
                 * monomial_eval(canonical(shifted), f_vars)
             )
     assert rel_err(got, want) < 1e-9
+
+
+def test_exact_length_matches_filter_then_shift():
+    for nparts in range(5):
+        for max_part in (None, 1, 2, 5):
+            want = [
+                (lam, canonical(tuple(p - 1 for p in lam)))
+                for total in range(15)
+                for lam in unpruned_partitions_of(total, max_part=max_part, max_len=nparts)
+                if len(lam) == nparts
+            ]
+            got = list(_exact_length(nparts, range(15), max_part))
+            assert got == want, (nparts, max_part)
 
 
 def test_completed_logders_main_cases():

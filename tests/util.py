@@ -1,9 +1,10 @@
 """Shared test helpers: the seeded-instance helpers and the tests' own oracles.
 
 The oracles are reference formulas that only the tests call: the part-wise
-sum of two partitions, ribbon heights and horizontal strips read off the
-diagram, the leading moment coefficient f_k, the Vandermonde product, e_r and
-h_r summed over subsets, and the exact z-statistic.
+sum of two partitions, the partition enumerator without pruning, ribbon
+heights and horizontal strips read off the diagram, the leading moment
+coefficient f_k, the Vandermonde product, e_r and h_r summed over subsets,
+and the exact z-statistic.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ def add(lam, mu):
     """Elementwise sum of (zero-padded) part sequences."""
     n = max(len(lam), len(mu))
     return canonical(tuple(part(lam, j) + part(mu, j) for j in range(1, n + 1)))
+
+
+def unpruned_partitions_of(s, max_part=None, max_len=None):
+    """Oracle: partitions of s, lex-decreasing, trying every first part down to 1."""
+    if s == 0:
+        yield ()
+        return
+    mp = s if max_part is None else min(max_part, s)
+    ml = s if max_len is None else max_len
+    if ml <= 0 or mp <= 0:
+        return
+    for first in range(mp, 0, -1):
+        for rest in unpruned_partitions_of(s - first, max_part=first, max_len=ml - 1):
+            yield (first,) + rest
 
 
 def brute_force_ribbons_added(mu, k, max_len=None):
