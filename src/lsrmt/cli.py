@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--N", type=int, default=1)
     comp.add_argument("--r", type=float, default=0.6)
     comp.add_argument("--grid", type=int, default=32)
-    comp.add_argument("--part-cap", type=int, default=60)
+    comp.add_argument("--part-cap", type=int, default=rmt.PART_CAP)
     comp.add_argument("--method", choices=("det", "comb"), default="det")
     comp.add_argument("--h", default="one")
     comp.add_argument("--f-key", dest="fkey", default="one")

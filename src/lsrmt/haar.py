@@ -97,19 +97,23 @@ def _szego_batch(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
 
     The Szegő recursion Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k,
     Phi*_{k+1} = Phi*_k - alpha_k z Phi_k from Phi_0 = Phi*_0 = 1, with its
-    derivative; chi_g(z) = det(I - z g^{-1}) = Phi*_N(z).
+    derivative; chi_g(z) = det(I - z g^{-1}) = Phi*_N(z).  (Phi, Phi') and
+    (Phi*, Phi*') are each held in one (2, count, len(points)) array, so a
+    step is six array operations; (z Phi)' = z Phi' + Phi.
     """
     z = np.asarray(points, dtype=complex)
-    shape = (alpha.shape[0], z.size)
-    phi, star = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
-    dphi, dstar = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    phi = np.zeros((2, alpha.shape[0], z.size), dtype=complex)
+    phi[0] = 1
+    star = phi.copy()
+    alpha_bar = np.conj(alpha)
     for k in range(alpha.shape[1]):
-        a = alpha[:, k:k + 1]
-        a_bar = np.conj(a)
-        z_phi, dz_phi = z * phi, phi + z * dphi
-        phi, star = z_phi - a_bar * star, star - a * z_phi
-        dphi, dstar = dz_phi - a_bar * dstar, dstar - a * dz_phi
-    return star, dstar
+        z_phi = z * phi
+        z_phi[1] += phi[0]
+        phi, star = (
+            z_phi - alpha_bar[:, k:k + 1] * star,
+            star - alpha[:, k:k + 1] * z_phi,
+        )
+    return star[0], star[1]
 
 
 def _tilted_char_batch(rng, count: int, big_n: int, points, tilt):

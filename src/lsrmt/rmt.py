@@ -19,6 +19,8 @@ from .partitions import multiplicities, partition_pool, partitions_of, partition
 from .symfunc import (
     _delta2,
     _distinct,
+    _monomial_plan,
+    _monomial_values,
     as_varset,
     e_prod,
     inv,
@@ -171,6 +173,8 @@ def _split_weights(a_vars, b_vars, d_vars, big_n: int):
 
 def poly_geom_tail(cutoff: int, degree: int, rho: float) -> float:
     """Certified upper bound for sum_{s > cutoff} s^degree rho^s, rho < 1."""
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     if not 0 <= rho < 1:
         raise ValueError("rho must be in [0, 1)")
     if rho == 0:
@@ -188,10 +192,13 @@ def poly_geom_tail(cutoff: int, degree: int, rho: float) -> float:
 
 def _pair_sum_tail(cutoff: int, nparts: int, rho: float, scale: float) -> float:
     """Tail bound for partition-pair sums with nparts parts and weight rho^size."""
-    if nparts == 0 or rho == 0:
+    if nparts == 0:
         return 0.0
-    const = scale * factorial(nparts) ** 3 / rho
-    return const * poly_geom_tail(cutoff, 2 * nparts - 1, rho)
+    # checks the cutoff even when rho = 0 leaves no tail
+    tail = poly_geom_tail(cutoff, 2 * nparts - 1, rho)
+    if rho == 0:
+        return 0.0
+    return scale * factorial(nparts) ** 3 / rho * tail
 
 
 def logders_main(e_vars, f_vars, part_cap: int = PART_CAP) -> complex:
@@ -213,13 +220,20 @@ def logders_main(e_vars, f_vars, part_cap: int = PART_CAP) -> complex:
     if tail > TAIL_TOL:
         raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
     total = 0j
-    for lam, shifted in _exact_length(nparts, range(nparts, nparts * part_cap + 1), part_cap):
-        total += (
-            _z_float(lam)
-            * monomial_eval(shifted, e_vars)
-            * monomial_eval(shifted, f_vars)
-        )
+    for z, plan in _logders_terms(nparts, part_cap):
+        total += z * _monomial_values(plan, e_vars, 0j) * _monomial_values(plan, f_vars, 0j)
     return total
+
+
+@lru_cache(maxsize=64)
+def _logders_terms(nparts: int, part_cap: int):
+    """logders_main's (z_lam, m plan of lam - <1^nparts>) terms, in summation order."""
+    return tuple(
+        (_z_float(lam), _monomial_plan(shifted, nparts))
+        for lam, shifted in _exact_length(
+            nparts, range(nparts, nparts * part_cap + 1), part_cap
+        )
+    )
 
 
 def _exact_length(nparts: int, sizes, max_part: int | None):
@@ -258,14 +272,27 @@ def completed_logders_main(
         if tail > TAIL_TOL:
             raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
     total = 0j
-    for lam in partitions_up_to(maxlen * part_cap, max_part=part_cap, max_len=maxlen):
+    for length, z, e_plan, f_plan in _completed_terms(maxlen, part_cap, ne, nf):
         total += (
-            (-big_n / 2.0) ** (ne + nf - 2 * len(lam))
-            * _z_float(lam)
-            * monomial_eval(lam, e_vars)
-            * monomial_eval(lam, f_vars)
+            (-big_n / 2.0) ** (ne + nf - 2 * length)
+            * z
+            * _monomial_values(e_plan, e_vars, 0j)
+            * _monomial_values(f_plan, f_vars, 0j)
         )
     return total
+
+
+@lru_cache(maxsize=64)
+def _completed_terms(maxlen: int, part_cap: int, ne: int, nf: int):
+    """completed_logders_main's (l(lam), z_lam, m plan in ne vars, in nf vars) terms.
+
+    lam runs over the partitions with at most maxlen parts, each at most
+    part_cap, in summation order.
+    """
+    return tuple(
+        (len(lam), _z_float(lam), _monomial_plan(lam, ne), _monomial_plan(lam, nf))
+        for lam in partitions_up_to(maxlen * part_cap, max_part=part_cap, max_len=maxlen)
+    )
 
 
 # -- the mixed-ratio recipe main term -----------------------------------------

@@ -105,38 +105,68 @@ def ordered_splits(values, left_size):
 # -- classical bases ---------------------------------------------------------
 
 def _monomial(lam, values, zero):
-    """m_lambda(values) by dynamic programming over the variables.
+    """m_lambda(values): the ``_monomial_plan`` of lambda evaluated at values."""
+    plan = _monomial_plan(canonical(lam), len(values))
+    return zero if plan is None else _monomial_values(plan, values, zero)
+
+
+@lru_cache(maxsize=1 << 12)
+def _monomial_plan(lam: Partition, nvars: int):
+    """The moves of the m_lambda dynamic program over nvars variables, or None.
 
     The state is the partition of the parts of lambda not yet given to a
     variable.  Each variable takes one distinct remaining part, or exponent 0
     while enough variables remain for the rest: O(n * prod(m_i + 1) *
-    #distinct parts) operations for part multiplicities m_i.  Only ``*``,
-    ``**`` and ``+`` touch the values, so Python complex scalars and numpy
-    arrays both work; zero is the additive identity of the result.
+    #distinct parts) moves for part multiplicities m_i.  The plan has one
+    (state count, sources) entry per variable; sources[i] lists the
+    (next state, part or None for exponent 0) moves of state i, exponent 0
+    first.  States are numbered in order of first arrival, and state 0 of
+    the first variable is lambda.  None when l(lambda) > nvars (m_lambda = 0).
+    The plan holds shape data only.
     """
-    lam = canonical(lam)
-    nvars = len(values)
     if len(lam) > nvars:
-        return zero
-    states = {lam: zero + 1}
-    for left, x in zip(range(nvars - 1, -1, -1), values):
-        # states share values, so sums build new objects, never update in place;
-        # popping each state frees its value once spread (mesh-sized arrays)
-        nxt = {}
-        for rest in list(states):
-            val = states.pop(rest)
+        return None
+    plan = []
+    states = [lam]
+    for left in range(nvars - 1, -1, -1):
+        index, sources = {}, []
+        for rest in states:
+            moves = []
             if len(rest) <= left:
-                prev = nxt.get(rest)
-                nxt[rest] = val if prev is None else prev + val
+                moves.append((index.setdefault(rest, len(index)), None))
             for j, p in enumerate(rest):
                 if j and rest[j - 1] == p:
                     continue
                 key = rest[:j] + rest[j + 1:]
-                term = val * x ** p
-                prev = nxt.get(key)
-                nxt[key] = term if prev is None else prev + term
+                moves.append((index.setdefault(key, len(index)), p))
+            sources.append(tuple(moves))
+        plan.append((len(index), tuple(sources)))
+        states = list(index)
+    return tuple(plan)
+
+
+def _monomial_values(plan, values, zero):
+    """A ``_monomial_plan`` evaluated at values, one variable per plan entry.
+
+    Each state sums val * x**p over its incoming moves (val itself for
+    exponent 0), in plan order.  Only ``*``, ``**`` and ``+`` touch the
+    values, so Python complex scalars and numpy arrays both work; zero is
+    the additive identity of the result.
+    """
+    states = [zero + 1]
+    for x, (count, sources) in zip(values, plan):
+        # states share values, so sums build new objects, never update in place;
+        # each state is dropped once spread (mesh-sized arrays)
+        nxt = [None] * count
+        for src, moves in enumerate(sources):
+            val = states[src]
+            states[src] = None
+            for dst, p in moves:
+                term = val if p is None else val * x ** p
+                prev = nxt[dst]
+                nxt[dst] = term if prev is None else prev + term
         states = nxt
-    return zero + states[()]
+    return zero + states[0]
 
 
 def monomial_eval(lam, xs) -> complex:

@@ -1,8 +1,9 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 69 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 71 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
-followed by the arguments.  Run it on two checkouts and compare the lines:
+followed by the arguments.  An uncaught exception counts as exit code 1 with
+its type and message on stderr.  Run it on two checkouts and compare the lines:
 
     PYTHONPATH=src python tests/cli_digest.py > after.txt
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_digest.py > before.txt
@@ -64,10 +65,13 @@ INVOCATIONS = (
        for nu in ("2,1", "3")]
     + [["mc", "--estimator", "explicit_sum", *MC_SMALL, "--h", "rational:2"],
        ["mc", "--estimator", "logder_pair", *MC_SMALL, "--workers", "2"]]
-    # the exit-2 paths: a truncation tail bound, an unread parameter, an unknown suite
+    # the exit-2 paths: a truncation tail bound, an unread parameter, an unknown suite,
+    # a negative part cap
     + [["compute", "logders-main", "--e", "0.9", "--f", "0.9", "--part-cap", "5"],
        ["mc", "--estimator", "abs_char_sq", *MC_SMALL, "--eps", "0.4"],
        ["verify", "nosuch"]]
+    + [["compute", target, "--e", "0.3", "--f", "0.3", "--part-cap", "-1"]
+       for target in ("logders-main", "completed-main")]
 )
 # the csv and text renderings of one compute, one mc and one verify payload
 INVOCATIONS += [
@@ -82,7 +86,12 @@ INVOCATIONS += [
 def digest(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception as exc:
+            # an uncaught exception: the interpreter would exit 1 with a traceback
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=err)
     payload = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
     return hashlib.sha256(payload.encode()).hexdigest()
 

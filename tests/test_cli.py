@@ -266,8 +266,13 @@ def test_csv_and_text_outputs(capsys):
             "compute", "explicit-rhs", "--h", "rational:2", "--f-key", "sum",
             "--n", "3", "--r", "0.6", "--N", "8", "--grid", "16",
         ],
+        ["compute", "logders-main", "--e", "0.3", "--f", "0.3", "--part-cap", "-1"],
+        ["compute", "completed-main", "--e", "0.3", "--f", "0.3", "--part-cap", "-1"],
     ],
-    ids=["truncation", "quadrature", "quadrature-mesh-cap"],
+    ids=[
+        "truncation", "quadrature", "quadrature-mesh-cap",
+        "negative-part-cap-logders", "negative-part-cap-completed",
+    ],
 )
 def test_numeric_failure_exits_2_with_json_error(args, capsys):
     code = main(args)

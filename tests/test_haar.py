@@ -23,7 +23,7 @@ from lsrmt.haar import (
 from lsrmt.partitions import partitions_up_to
 from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, moment_unitary, ratio_avg
 from lsrmt.symfunc import schur_comb
-from util import rel_err
+from util import rel_err, two_array_szego
 
 
 def test_sample_haar_unit_modulus_and_det():
@@ -289,6 +289,19 @@ def test_szego_derivative_matches_finite_difference():
     ahead, _ = _szego_batch(alpha, z + h)
     behind, _ = _szego_batch(alpha, z - h)
     assert np.max(np.abs((ahead - behind) / (2 * h) - dchi)) < 1e-7
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 3, 10, 50])
+def test_stacked_szego_equals_two_array_recursion_bitwise(big_n):
+    # z = 0 and a point outside the disc among them
+    points = (0j, 1.7 - 0.4j, 0.3 + 0.2j, -0.9j)
+    rng = np.random.default_rng(60 + big_n)
+    for count in range(1, len(points) + 1):
+        alpha = _verblunsky_batch(rng, 7, big_n)
+        chi, dchi = _szego_batch(alpha, points[:count])
+        want_chi, want_dchi = two_array_szego(alpha, points[:count])
+        assert chi.shape == dchi.shape == (7, count)
+        assert np.array_equal(chi, want_chi) and np.array_equal(dchi, want_dchi)
 
 
 @pytest.mark.parametrize("big_n", [1, 2, 10, 50])

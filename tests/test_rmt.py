@@ -114,6 +114,14 @@ def test_poly_geom_tail_bounds_true_tail():
     assert exact <= bound <= exact * 50 + 1e-12
 
 
+def test_poly_geom_tail_refuses_negative_cutoff():
+    # s would start at 0, where the ratio test divides by s
+    with pytest.raises(ValueError):
+        poly_geom_tail(-1, 3, 0.4)
+    with pytest.raises(ValueError):
+        logders_main((0.0,), (0.3,), part_cap=-1)
+
+
 def test_logders_main_cases():
     assert logders_main((), ()) == 1
     assert logders_main((0.3,), ()) == 0

@@ -44,6 +44,7 @@ from lsrmt.symfunc import (
 from util import (
     complete_r,
     delta,
+    dict_monomial,
     elementary_r,
     is_horizontal_strip,
     random_points,
@@ -99,6 +100,25 @@ def test_kostka_expansion_matches_schur_det_at_twelve_variables():
             for mu, k in schur_in_monomials(lam, 12).items()
         )
         assert rel_err(val, schur_det(lam, xs)) < 1e-9, lam
+
+
+def _bits(value):
+    value = np.asarray(value, dtype=complex)
+    return value.real.tobytes() + value.imag.tobytes()
+
+
+def test_planned_monomial_equals_dict_program_bitwise():
+    # every lambda with |lambda| <= 9 in 0..5 variables, so lambda = () and
+    # l(lambda) > n are among them; == on the bits of both parts
+    rng = np.random.default_rng(19)
+    for lam in partitions_up_to(9):
+        for nvars in range(6):
+            xs = tuple(complex(*v) for v in rng.standard_normal((nvars, 2)))
+            assert _bits(monomial_eval(lam, xs)) == _bits(dict_monomial(lam, xs, 0j)), lam
+            arrays = list(rng.standard_normal((nvars, 5)) + 1j * rng.standard_normal((nvars, 5)))
+            got = monomial_on_arrays(lam, arrays, 5)
+            assert got.shape == (5,)
+            assert _bits(got) == _bits(dict_monomial(lam, arrays, np.zeros(5, dtype=complex))), lam
 
 
 def test_monomial_on_arrays_matches_monomial_eval():

@@ -4,7 +4,9 @@ The oracles are reference formulas that only the tests call: the part-wise
 sum of two partitions, the partition enumerator without pruning, ribbon
 heights and horizontal strips read off the diagram, the leading moment
 coefficient f_k, the Vandermonde product, e_r and h_r summed over subsets,
-and the exact z-statistic.
+the exact z-statistic, and the dict-keyed m_lambda dynamic program and the
+two-array Szego recursion that the planned kernel and the stacked recursion
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
 
 from lsrmt.partitions import canonical, contains, multiplicities, part, partitions_of, size
 from lsrmt.symfunc import _delta, as_varset, e_prod
@@ -135,3 +139,52 @@ def z_stat(lam) -> Fraction:
     for i, m in multiplicities(lam).items():
         z *= Fraction(i) ** m * factorial(m)
     return z
+
+
+def dict_monomial(lam, values, zero):
+    """Oracle: m_lambda(values) by the dynamic program over dicts keyed on states.
+
+    The state is the partition of the parts not yet given to a variable; each
+    variable takes one distinct remaining part, or exponent 0 while enough
+    variables remain for the rest.
+    """
+    lam = canonical(lam)
+    nvars = len(values)
+    if len(lam) > nvars:
+        return zero
+    states = {lam: zero + 1}
+    for left, x in zip(range(nvars - 1, -1, -1), values):
+        nxt = {}
+        for rest in list(states):
+            val = states.pop(rest)
+            if len(rest) <= left:
+                prev = nxt.get(rest)
+                nxt[rest] = val if prev is None else prev + val
+            for j, p in enumerate(rest):
+                if j and rest[j - 1] == p:
+                    continue
+                key = rest[:j] + rest[j + 1:]
+                term = val * x ** p
+                prev = nxt.get(key)
+                nxt[key] = term if prev is None else prev + term
+        states = nxt
+    return zero + states[()]
+
+
+def two_array_szego(alpha, points):
+    """Oracle: chi_g and chi_g' by the Szego recursion on separate arrays.
+
+    Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k, Phi*_{k+1} = Phi*_k - alpha_k z Phi_k
+    from Phi_0 = Phi*_0 = 1, with the derivative carried alongside.
+    """
+    z = np.asarray(points, dtype=complex)
+    shape = (alpha.shape[0], z.size)
+    phi, star = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+    dphi, dstar = np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    for k in range(alpha.shape[1]):
+        a = alpha[:, k:k + 1]
+        a_bar = np.conj(a)
+        z_phi, dz_phi = z * phi, phi + z * dphi
+        phi, star = z_phi - a_bar * star, star - a * z_phi
+        dphi, dstar = dz_phi - a_bar * dstar, dstar - a * dz_phi
+    return star, dstar
