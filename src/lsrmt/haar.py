@@ -40,6 +40,10 @@ TILT_MAX = 0.9
 CHUNK = 4096
 # mesh points handed to a Weyl functional at once; bounds the mesh-sized temporaries
 WEYL_CHUNK = 1 << 14
+# Weyl quadrature: starting grid per angle, grid-doubling agreement, doublings allowed
+WEYL_GRID = 32
+WEYL_TOL = 1e-8
+WEYL_MAX_REFINE = 6
 
 
 class PoleProximityError(ValueError):
@@ -413,13 +417,7 @@ def mc_average(functional, big_n: int, samples: int, seed: int, workers: int = 1
 
 # -- small-N Weyl quadrature -----------------------------------------------------
 
-def weyl_quadrature(
-    functional,
-    big_n: int,
-    grid: int = 32,
-    tol: float = 1e-8,
-    max_refine: int = 6,
-) -> complex:
+def weyl_quadrature(functional, big_n: int) -> complex:
     """Average over U(N) by torus quadrature against the Weyl density.
 
     functional maps an eigenvalue array of shape (points, N) to values; the
@@ -430,7 +428,8 @@ def weyl_quadrature(
     if big_n > 3:
         raise ValueError("Weyl quadrature oracle is restricted to N <= 3")
     return _refine_grid(
-        lambda g: _weyl_on_grid(functional, big_n, g), grid, big_n, tol, max_refine
+        lambda g: _weyl_on_grid(functional, big_n, g),
+        WEYL_GRID, big_n, WEYL_TOL, WEYL_MAX_REFINE,
     )
 
 

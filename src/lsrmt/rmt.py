@@ -219,6 +219,9 @@ def logders_main(e_vars, f_vars, part_cap: int = PART_CAP) -> complex:
     tail = _pair_sum_tail(part_cap, nparts, rho, scale=1.0)
     if tail > TAIL_TOL:
         raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
+    if part_cap == 0:
+        # rho = 0 zeroes the bound, but lam = <1^L> has weight rho^0 and needs part cap 1
+        raise TruncationError("part cap 0 leaves out lambda = <1^L>, of weight rho^0")
     total = 0j
     for z, plan in _logders_terms(nparts, part_cap):
         total += z * _monomial_values(plan, e_vars, 0j) * _monomial_values(plan, f_vars, 0j)

@@ -2,9 +2,11 @@
 
 Variable sets are ordered tuples of complex numbers; all values are computed
 in complex double precision.  Two independent routes are provided for Schur
-and Littlewood-Schur functions: a combinatorial one (tableau recursion over
-Littlewood-Richardson data, stable for repeated variables) and a determinantal
-one (generalized Vandermonde ratios, requiring pairwise distinct points).
+and Littlewood-Schur functions: a combinatorial one (the hook-tableau sum,
+branching one variable at a time: horizontal strips for each X variable, then
+vertical strips for each Y variable; stable for repeated variables) and a
+determinantal one (generalized Vandermonde ratios, requiring pairwise distinct
+points).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .partitions import (
     part,
     partitions_of,
     size,
-    subdiagrams,
 )
 
 DISTINCT_EPS = 1e-6
@@ -226,49 +227,65 @@ def _schur_det_many(lams, xs: VarSet) -> list[complex]:
     return out
 
 
-def _branching_plan(targets, k: int):
-    """Bottom-up evaluation order of s_mu(x_1..x_k) by the branching rule.
+@lru_cache(maxsize=1 << 12)
+def _comb_plan(lam, n: int, m: int, cap: int):
+    """Bottom-up evaluation order of LS_lam(x_1..x_n; y_1..y_m) by hook-tableau branching.
 
-    Returns (levels, slots).  Values sit in slots: 0 holds 1 (the empty
-    shape), 1 holds 0 (a shape longer than its prefix), and then one slot per
-    node (mu, j) that the targets reach, in order of prefix length j.
-    levels[j - 1] is (top, nodes) for x_j: each node lists its
-    ((slot, strip), ...) predecessors in ``_horizontal_strip_predecessors``
-    order, and top is the largest strip.  slots[i] is the slot of targets[i]
-    in k variables.  The plan holds shape data only.
+    Level j <= n branches on x_j by horizontal strips (s_mu(x_1..x_j)), and
+    level n + i on y_i by vertical strips: LS_mu(X; y_1..y_i) is the sum of
+    y_i**|mu/rho| LS_rho(X; y_1..y_{i-1}) over vertical strips mu/rho, with
+    LS_rho(X; ()) = s_rho(X).  With m = 0 this is the branching rule of s_lam.
+
+    Returns (levels, slot).  Values sit in slots: 0 holds 1 (the empty
+    shape), 1 holds 0 (a shape outside the hook of its prefix), and then one
+    slot per node (mu, j) that lam reaches, in order of prefix length j.
+    levels[j - 1] is (top, nodes) for the j-th variable: each node lists its
+    ((slot, strip), ...) predecessors in strip-predecessor order, and top is
+    the largest strip.  slot is the slot of lam.  The plan holds shape data
+    only.
     """
+    lam = canonical(lam)
+    if size(lam) > cap:
+        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
+
+    def vanishes(mu, j):
+        # s_mu(x_1..x_j) needs l(mu) <= j; LS_mu(X; y_1..y_i) needs mu_{n+1} <= i
+        return part(mu, n + 1) > j - n if j > n else len(mu) > j
+
+    def predecessors(mu, j):
+        if j > n:
+            return _vertical_strip_predecessors(mu)
+        return _horizontal_strip_predecessors(mu)
+
+    k = n + m
     reached = [{} for _ in range(k + 1)]  # prefix length -> shapes, in order
-    for lam in targets:
-        if lam and len(lam) <= k:
-            reached[k][lam] = None
+    if lam and not vanishes(lam, k):
+        reached[k][lam] = None
     for j in range(k, 1, -1):
-        for lam in reached[j]:
-            for mu, _ in _horizontal_strip_predecessors(lam):
-                if mu and len(mu) < j:
-                    reached[j - 1][mu] = None
+        for mu in reached[j]:
+            for rho, _ in predecessors(mu, j):
+                if rho and not vanishes(rho, j - 1):
+                    reached[j - 1][rho] = None
     slot = {}
     for j in range(1, k + 1):
-        for lam in reached[j]:
-            slot[lam, j] = len(slot) + 2
+        for mu in reached[j]:
+            slot[mu, j] = len(slot) + 2
 
     def where(mu, j):
         if not mu:
             return 0
-        # s_mu vanishes in fewer than l(mu) variables
-        return 1 if len(mu) > j else slot[mu, j]
+        return 1 if vanishes(mu, j) else slot[mu, j]
 
     levels = []
     for j in range(1, k + 1):
         nodes = tuple(
-            tuple(
-                _pair(where(mu, j - 1), strip)
-                for mu, strip in _horizontal_strip_predecessors(lam)
-            )
-            for lam in reached[j]
+            tuple(_pair(where(rho, j - 1), strip) for rho, strip in predecessors(mu, j))
+            for mu in reached[j]
         )
-        # the largest horizontal strip of lam is its whole first row
-        levels.append((max((lam[0] for lam in reached[j]), default=-1), nodes))
-    return tuple(levels), tuple(where(lam, k) for lam in targets)
+        # the largest horizontal (vertical) strip of mu is its first row (column)
+        top = max((mu[0] if j <= n else len(mu) for mu in reached[j]), default=-1)
+        levels.append((top, nodes))
+    return tuple(levels), where(lam, k)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -278,10 +295,11 @@ def _pair(slot: int, count: int) -> tuple[int, int]:
 
 
 def _branching_values(levels, xs: VarSet) -> list[complex]:
-    """The slot values of a ``_branching_plan`` at xs, in a list for this call only.
+    """The slot values of a ``_comb_plan``'s levels at xs, in a list for this call only.
 
-    Each node sums x_j**strip * value[predecessor] in plan order, so the
-    arithmetic is that of the recursive branching rule term by term.
+    xs holds one value per level.  Each node sums x_j**strip *
+    value[predecessor] in plan order, so the arithmetic is that of the
+    recursive branching rule term by term.
     """
     vals = [1.0 + 0j, 0j]
     for x, (top, nodes) in zip(xs, levels):
@@ -309,6 +327,15 @@ def _horizontal_strip_predecessors(lam: Partition) -> tuple[tuple[Partition, int
     return tuple(out)
 
 
+@lru_cache(maxsize=1 << 16)
+def _vertical_strip_predecessors(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """All (rho, |lam| - |rho|) with lam/rho a vertical strip: the conjugate rule."""
+    return tuple(
+        (conjugate(rho), strip)
+        for rho, strip in _horizontal_strip_predecessors(conjugate(lam))
+    )
+
+
 def schur_comb(lam, xs, cap: int = SIZE_CAP) -> complex:
     """Schur polynomial as the semistandard-tableau weight sum.
 
@@ -316,17 +343,8 @@ def schur_comb(lam, xs, cap: int = SIZE_CAP) -> complex:
     tableau sum organized by the largest entry; valid for repeated variables.
     """
     xs = as_varset(xs)
-    levels, (slot,) = _schur_comb_plan(tuple(map(int, lam)), len(xs), cap)
+    levels, slot = _comb_plan(tuple(map(int, lam)), len(xs), 0, cap)
     return _branching_values(levels, xs)[slot]
-
-
-@lru_cache(maxsize=1 << 12)
-def _schur_comb_plan(lam, k: int, cap: int):
-    """The ``_branching_plan`` of s_lam in k variables."""
-    lam = canonical(lam)
-    if size(lam) > cap:
-        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {cap}")
-    return _branching_plan((lam,), k)
 
 
 # -- Littlewood-Richardson coefficients --------------------------------------
@@ -387,56 +405,13 @@ def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
 def ls_comb(lam, xs, ys) -> complex:
     """LS_lambda(X; Y) = sum over (mu, nu) of c^lam_{mu nu} s_mu(X) s_{nu'}(Y).
 
-    Valid for arbitrary, even coincident, values.
+    Evaluated as the hook-tableau weight sum: horizontal strips for the X
+    variables, then vertical strips for the Y variables.  Valid for
+    arbitrary, even coincident, values.
     """
     xs, ys = as_varset(xs), as_varset(ys)
-    x_levels, y_levels, terms = _ls_comb_plan(tuple(map(int, lam)), len(xs), len(ys))
-    x_vals = _branching_values(x_levels, xs)
-    y_vals = _branching_values(y_levels, ys)
-    total = 0j
-    for y_slot, row in terms:
-        sy = y_vals[y_slot]
-        if sy == 0:
-            continue
-        for x_slot, c in row:
-            total += c * x_vals[x_slot] * sy
-    return total
-
-
-@lru_cache(maxsize=1 << 12)
-def _ls_comb_plan(lam, n: int, m: int):
-    """ls_comb's branching plans in X and in Y and its terms, in summation order.
-
-    The terms are ((slot of nu' in Y, ((slot of mu in X, c^lam_{mu nu}),
-    ...)), ...): nu runs over the subdiagrams of lam whose conjugate has at
-    most m rows, mu over the partitions of |lam| - |nu| with at most n rows
-    inside lam with a nonzero coefficient.
-    """
-    lam = canonical(lam)
-    if size(lam) > SIZE_CAP:
-        raise SizeCapError(f"|lambda| = {size(lam)} exceeds cap {SIZE_CAP}")
-    terms = []
-    for nu in subdiagrams(lam):
-        # s_{nu'}(Y) vanishes unless nu' has at most m rows
-        if nu and nu[0] > m:
-            continue
-        rest = size(lam) - size(nu)
-        row = []
-        for mu in partitions_of(rest, max_len=n):
-            if not contains(lam, mu):
-                continue
-            c = lr_coeff(lam, mu, nu)
-            if c:
-                row.append((mu, c))
-        terms.append((conjugate(nu), tuple(row)))
-    x_levels, x_slots = _branching_plan(tuple(mu for _, row in terms for mu, _ in row), n)
-    y_levels, y_slots = _branching_plan(tuple(nu_conj for nu_conj, _ in terms), m)
-    x_slot = iter(x_slots)
-    planned = tuple(
-        (y_slot, tuple(_pair(next(x_slot), c) for _, c in row))
-        for y_slot, (_, row) in zip(y_slots, terms)
-    )
-    return x_levels, y_levels, planned
+    levels, slot = _comb_plan(tuple(map(int, lam)), len(xs), len(ys), SIZE_CAP)
+    return _branching_values(levels, xs + ys)[slot]
 
 
 def ls_det_sign(lam, m: int, n: int) -> int:

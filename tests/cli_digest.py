@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 71 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 75 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  An uncaught exception counts as exit code 1 with
 its type and message on stderr.  Run it on two checkouts and compare the lines:
@@ -51,6 +51,9 @@ INVOCATIONS = (
         "--method", method] for lam in ("3,2,1", "4,1") for method in ("comb", "det")]
     + [["compute", "ls", "--lambda=3,2,1", "--x=0.5,1.2j", "--y=-0.7+0.3j,0.9-0.4j",
         "--method", method] for method in ("comb", "det")]
+    # the combinatorial route at coincident variables and at a zero variable
+    + [["compute", "ls", "--lambda=3,2,1", "--x=0.5,0.5", "--y=0,0.7", "--method", "comb"],
+       ["compute", "ls", "--lambda=4,2,1", "--x=0.5,0.5,1.1j", "--y=0.7,0.7", "--method", "comb"]]
     + [["compute", "explicit-rhs", "--N", "8", *args] for args in (
         ["--n", "1", "--h", "rational:2"],
         ["--n", "2", "--h", "one", "--f-key", "sum", "--grid", "16"],
@@ -66,12 +69,14 @@ INVOCATIONS = (
     + [["mc", "--estimator", "explicit_sum", *MC_SMALL, "--h", "rational:2"],
        ["mc", "--estimator", "logder_pair", *MC_SMALL, "--workers", "2"]]
     # the exit-2 paths: a truncation tail bound, an unread parameter, an unknown suite,
-    # a negative part cap
+    # a negative part cap, a part cap of 0 at rho = 0, the combinatorial size cap
     + [["compute", "logders-main", "--e", "0.9", "--f", "0.9", "--part-cap", "5"],
        ["mc", "--estimator", "abs_char_sq", *MC_SMALL, "--eps", "0.4"],
        ["verify", "nosuch"]]
     + [["compute", target, "--e", "0.3", "--f", "0.3", "--part-cap", "-1"]
        for target in ("logders-main", "completed-main")]
+    + [["compute", "logders-main", "--e", "0", "--f", "0.3", "--part-cap", "0"],
+       ["compute", "ls", "--lambda", "21", "--x", "0.5", "--y", "0.7", "--method", "comb"]]
 )
 # the csv and text renderings of one compute, one mc and one verify payload
 INVOCATIONS += [

@@ -18,6 +18,7 @@ from math import comb
 
 import numpy as np
 
+from lsrmt import haar
 from lsrmt.haar import make_estimator, mc_average, weyl_quadrature
 from lsrmt.partitions import (
     conjugate,
@@ -269,13 +270,15 @@ def test_c8_explicit_formula():
     )
 
 
-def test_c9_weyl_schur_orthogonality():
+def test_c9_weyl_schur_orthogonality(monkeypatch):
+    monkeypatch.setattr(haar, "WEYL_GRID", 24)
+    monkeypatch.setattr(haar, "WEYL_TOL", 1e-9)
     worst = 0.0
     for big_n in (1, 2, 3):
         lams = list(partitions_up_to(3))
         for mu, nu in itertools.product(lams, repeat=2):
             est = make_estimator("schur_pair", big_n, mu=mu, nu=nu)
-            val = weyl_quadrature(est, big_n, grid=24, tol=1e-9)
+            val = weyl_quadrature(est, big_n)
             want = 1.0 if (mu == nu and len(mu) <= big_n) else 0.0
             worst = max(worst, abs(val - want))
     conclude("C9 weyl-orthogonality", worst < 1e-6, f"max_abs_err={worst:.2e}")

@@ -268,10 +268,11 @@ def test_csv_and_text_outputs(capsys):
         ],
         ["compute", "logders-main", "--e", "0.3", "--f", "0.3", "--part-cap", "-1"],
         ["compute", "completed-main", "--e", "0.3", "--f", "0.3", "--part-cap", "-1"],
+        ["compute", "logders-main", "--e", "0", "--f", "0.3", "--part-cap", "0"],
     ],
     ids=[
         "truncation", "quadrature", "quadrature-mesh-cap",
-        "negative-part-cap-logders", "negative-part-cap-completed",
+        "negative-part-cap-logders", "negative-part-cap-completed", "zero-part-cap-at-rho-0",
     ],
 )
 def test_numeric_failure_exits_2_with_json_error(args, capsys):

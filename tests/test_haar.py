@@ -175,28 +175,31 @@ def test_mc_eigenangle_density_uniform():
         assert abs(mean - expected) < 4 * stderr
 
 
-def test_weyl_constant_and_moment():
-    assert weyl_quadrature(lambda e: np.ones(e.shape[0]), 1, grid=8) == pytest.approx(1)
-    val = weyl_quadrature(
-        lambda e: np.abs(np.prod(1 - np.conj(e), axis=1)) ** 2, 2, grid=16
-    )
+def test_weyl_constant_and_moment(monkeypatch):
+    monkeypatch.setattr(haar, "WEYL_GRID", 8)
+    assert weyl_quadrature(lambda e: np.ones(e.shape[0]), 1) == pytest.approx(1)
+    monkeypatch.setattr(haar, "WEYL_GRID", 16)
+    val = weyl_quadrature(lambda e: np.abs(np.prod(1 - np.conj(e), axis=1)) ** 2, 2)
     assert rel_err(val, complex(moment_unitary(1, 2))) < 1e-8
 
 
-def test_weyl_quadrature_unconverged_raises():
+def test_weyl_quadrature_unconverged_raises(monkeypatch):
+    monkeypatch.setattr(haar, "WEYL_GRID", 8)
+    monkeypatch.setattr(haar, "WEYL_MAX_REFINE", 1)
     # one estimate leaves nothing to compare against
     with pytest.raises(QuadratureError):
-        weyl_quadrature(lambda e: np.ones(e.shape[0]), 1, grid=8, max_refine=1)
+        weyl_quadrature(lambda e: np.ones(e.shape[0]), 1)
 
 
-def test_weyl_quadrature_mesh_cap_raises_before_building():
+def test_weyl_quadrature_mesh_cap_raises_before_building(monkeypatch):
+    monkeypatch.setattr(haar, "WEYL_GRID", 128)
     assert 128 ** 3 > MAX_GRID_POINTS
 
     def functional(e):
         raise AssertionError("no mesh may be built")
 
     with pytest.raises(QuadratureError):
-        weyl_quadrature(functional, 3, grid=128)
+        weyl_quadrature(functional, 3)
 
 
 def test_weyl_mesh_is_evaluated_in_chunks():
@@ -212,12 +215,13 @@ def test_weyl_mesh_is_evaluated_in_chunks():
     assert len(rows) > 1 and max(rows) <= WEYL_CHUNK
 
 
-def test_weyl_schur_orthogonality_small():
+def test_weyl_schur_orthogonality_small(monkeypatch):
+    monkeypatch.setattr(haar, "WEYL_GRID", 16)
     big_n = 2
     for mu in partitions_up_to(2):
         for nu in partitions_up_to(2):
             est = make_estimator("schur_pair", big_n, mu=mu, nu=nu)
-            val = weyl_quadrature(est, big_n, grid=16)
+            val = weyl_quadrature(est, big_n)
             want = 1.0 if (mu == nu and len(mu) <= big_n) else 0.0
             assert abs(val - want) < 1e-6, (mu, nu)
 

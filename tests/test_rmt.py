@@ -7,6 +7,7 @@ from lsrmt.haar import make_estimator, weyl_quadrature
 from lsrmt.partitions import canonical
 from lsrmt.rmt import (
     RecipeInput,
+    TruncationError,
     _exact_length,
     catalog_function,
     catalog_symmetric,
@@ -120,6 +121,14 @@ def test_poly_geom_tail_refuses_negative_cutoff():
         poly_geom_tail(-1, 3, 0.4)
     with pytest.raises(ValueError):
         logders_main((0.0,), (0.3,), part_cap=-1)
+
+
+def test_logders_main_zero_cap_at_rho_0_refuses():
+    # rho = 0 leaves only lam = <1^L>, of weight rho^0: cap 0 drops it, cap 1 keeps it
+    with pytest.raises(TruncationError):
+        logders_main((0.0,), (0.3,), part_cap=0)
+    assert logders_main((0.0,), (0.3,), part_cap=1) == 1
+    assert completed_logders_main((0.0,), (0.3,), 4, part_cap=0) == 4
 
 
 def test_logders_main_cases():

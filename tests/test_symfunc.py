@@ -8,14 +8,12 @@ import pytest
 
 from lsrmt.partitions import (
     conjugate,
-    contains,
     mn_index,
     part,
     partitions_of,
     partition_pool,
     partitions_up_to,
     size,
-    subdiagrams,
 )
 from lsrmt.symfunc import (
     _horizontal_strip_predecessors,
@@ -25,6 +23,7 @@ from lsrmt.symfunc import (
     CoincidentVariablesError,
     SizeCapError,
     _distinct,
+    _vertical_strip_predecessors,
     basis_eval,
     delta2,
     e_prod,
@@ -47,6 +46,7 @@ from util import (
     dict_monomial,
     elementary_r,
     is_horizontal_strip,
+    ls_by_lr_sum,
     random_points,
     rel_err,
 )
@@ -255,12 +255,12 @@ def test_lr_coeff_pieri():
 def test_lr_coeff_matches_schur_product():
     # sum_lam c^lam_{mu nu} s_lam = s_mu s_nu numerically
     rng = np.random.default_rng(8)
-    xs = random_points(rng, 3)
-    for mu in partitions_up_to(3):
-        for nu in partitions_up_to(3):
-            lhs = schur_det(mu, xs) * schur_det(nu, xs)
+    xs = random_points(rng, 4)
+    for mu in partitions_up_to(4):
+        for nu in partitions_up_to(4):
+            lhs = schur_comb(mu, xs) * schur_comb(nu, xs)
             rhs = sum(
-                lr_coeff(lam, mu, nu) * schur_det(lam, xs)
+                lr_coeff(lam, mu, nu) * schur_comb(lam, xs)
                 for lam in partitions_of(size(mu) + size(nu))
             )
             assert rel_err(lhs, rhs) < 1e-9
@@ -500,23 +500,25 @@ def _schur_recursive(lam, xs, k, memo):
     return memo[lam, k]
 
 
-def _ls_comb_recursive(lam, xs, ys):
-    """ls_comb's sum, enumerated and evaluated afresh on every call."""
-    n, m = len(xs), len(ys)
-    x_memo, y_memo = {}, {}
-    total = 0j
-    for nu in subdiagrams(lam):
-        if nu and nu[0] > m:
-            continue
-        sy = _schur_recursive(conjugate(nu), ys, m, y_memo)
-        if sy == 0:
-            continue
-        for mu in partitions_of(size(lam) - size(nu), max_len=n):
-            if contains(lam, mu):
-                c = lr_coeff(lam, mu, nu)
-                if c:
-                    total += c * _schur_recursive(mu, xs, n, x_memo) * sy
-    return total
+def _hook_recursive(lam, xs, ys, memo):
+    """LS_lam(X; y_1..y_m) by hook-tableau branching as a memoized recursion.
+
+    Peels vertical strips for y_m down to no Y variable, then horizontal
+    strips for the X variables.
+    """
+    m = len(ys)
+    if not m:
+        return _schur_recursive(lam, xs, len(xs), memo)
+    if not lam:
+        return 1.0 + 0j
+    if part(lam, len(xs) + 1) > m:
+        return 0j
+    if (lam, len(xs) + m) not in memo:
+        total = 0j
+        for rho, strip in _vertical_strip_predecessors(lam):
+            total += ys[m - 1] ** strip * _hook_recursive(rho, xs, ys[:m - 1], memo)
+        memo[lam, len(xs) + m] = total
+    return memo[lam, len(xs) + m]
 
 
 def test_ls_det_plan_matches_elementwise_fill():
@@ -529,7 +531,7 @@ def test_ls_det_plan_matches_elementwise_fill():
                 assert ls_det(lam, xs, ys) == _ls_det_by_elements(lam, xs, ys), (lam, xs, ys)
 
 
-def test_branching_plans_match_recursive_rule():
+def _branching_cases():
     rng = np.random.default_rng(25)
     a, b = 0.6 + 0.2j, -0.4 + 0.9j
     cases = []
@@ -539,10 +541,32 @@ def test_branching_plans_match_recursive_rule():
             cases.append((pts[:n], pts[n:]))
     # a zero variable and coincident X values
     cases += [((a, a, b), (0.8 - 0.3j, 0j)), ((0j, a, a), (b,)), ((a, a, a, a), (0j, b))]
-    for xs, ys in cases:
+    return cases
+
+
+def test_branching_plans_match_recursive_rule():
+    for xs, ys in _branching_cases():
         for lam in partitions_up_to(8):
             assert schur_comb(lam, xs) == _schur_recursive(lam, xs, len(xs), {}), (lam, xs)
-            assert ls_comb(lam, xs, ys) == _ls_comb_recursive(lam, xs, ys), (lam, xs, ys)
+            assert ls_comb(lam, xs, ys) == _hook_recursive(lam, xs, ys, {}), (lam, xs, ys)
+
+
+def test_ls_comb_matches_lr_sum_definition():
+    for xs, ys in _branching_cases():
+        for lam in partitions_up_to(8):
+            got, want = ls_comb(lam, xs, ys), ls_by_lr_sum(lam, xs, ys)
+            assert rel_err(got, want) <= 1e-12, (lam, xs, ys)
+
+
+def test_vertical_strip_predecessors_brute_force():
+    for lam in partitions_up_to(8):
+        got = _vertical_strip_predecessors(lam)
+        want = {
+            (rho, size(lam) - size(rho))
+            for rho in partitions_up_to(size(lam))
+            if is_horizontal_strip(conjugate(lam), conjugate(rho))
+        }
+        assert len(got) == len(want) and set(got) == want, lam
 
 
 def _schur_det_one_matrix(lam, xs):

@@ -2,7 +2,8 @@
 
 The oracles are reference formulas that only the tests call: the part-wise
 sum of two partitions, the partition enumerator without pruning, ribbon
-heights and horizontal strips read off the diagram, the leading moment
+heights and horizontal strips read off the diagram, Littlewood-Schur
+functions by their Littlewood-Richardson definition, the leading moment
 coefficient f_k, the Vandermonde product, e_r and h_r summed over subsets,
 the exact z-statistic, and the dict-keyed m_lambda dynamic program and the
 two-array Szego recursion that the planned kernel and the stacked recursion
@@ -17,8 +18,17 @@ from math import factorial
 
 import numpy as np
 
-from lsrmt.partitions import canonical, contains, multiplicities, part, partitions_of, size
-from lsrmt.symfunc import _delta, as_varset, e_prod
+from lsrmt.partitions import (
+    canonical,
+    conjugate,
+    contains,
+    multiplicities,
+    part,
+    partitions_of,
+    size,
+    subdiagrams,
+)
+from lsrmt.symfunc import _delta, as_varset, e_prod, lr_coeff, schur_comb
 from lsrmt.verify import random_partition, random_points, rel_err  # noqa: F401
 
 
@@ -93,6 +103,22 @@ def is_horizontal_strip(lam, mu) -> bool:
     if not contains(lam, mu):
         return False
     return all(part(lam, j + 1) <= part(mu, j) for j in range(1, len(lam) + 1))
+
+
+def ls_by_lr_sum(lam, xs, ys) -> complex:
+    """Oracle: LS_lam(X; Y) = sum over (mu, nu) of c^lam_{mu nu} s_mu(X) s_{nu'}(Y)."""
+    n, m = len(xs), len(ys)
+    total = 0j
+    for nu in subdiagrams(lam):
+        if nu and nu[0] > m:
+            continue  # s_{nu'}(Y) vanishes
+        sy = schur_comb(conjugate(nu), ys)
+        for mu in partitions_of(size(lam) - size(nu), max_len=n):
+            if contains(lam, mu):
+                c = lr_coeff(lam, mu, nu)
+                if c:
+                    total += c * schur_comb(mu, xs) * sy
+    return total
 
 
 def moment_leading(k: int) -> Fraction:
