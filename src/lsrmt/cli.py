@@ -192,9 +192,11 @@ def cmd_mc(args) -> tuple[dict, int]:
     }
     if est.prediction is not None:
         pred = est.prediction
-        z_score = (
-            abs(out.mean - pred) / out.stderr if out.stderr > 0 else 0.0
-        )
+        # with no spread, a mean off the prediction has no finite z: null
+        if out.stderr > 0:
+            z_score = abs(out.mean - pred) / out.stderr
+        else:
+            z_score = 0.0 if out.mean == pred else None
         payload["prediction"] = jsonable(complex(pred))
         payload["z_score"] = z_score
     return payload, 0

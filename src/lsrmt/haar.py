@@ -96,28 +96,29 @@ def _verblunsky_batch(rng, count: int, big_n: int) -> np.ndarray:
     return np.sqrt(mod_sq) * phase
 
 
-def _szego_batch(alpha: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
-    """chi_g and chi_g' at each point, each of shape (count, len(points)).
+def _szego_batch(alpha: np.ndarray, points, derivative: bool):
+    """chi_g at each point and, if `derivative`, chi_g' (else None), each (count, len(points)).
 
     The Szegő recursion Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k,
     Phi*_{k+1} = Phi*_k - alpha_k z Phi_k from Phi_0 = Phi*_0 = 1, with its
-    derivative; chi_g(z) = det(I - z g^{-1}) = Phi*_N(z).  (Phi, Phi') and
-    (Phi*, Phi*') are each held in one (2, count, len(points)) array, so a
-    step is six array operations; (z Phi)' = z Phi' + Phi.
+    derivative when asked; chi_g(z) = det(I - z g^{-1}) = Phi*_N(z).  (Phi, Phi')
+    and (Phi*, Phi*') are each held in one (2, len(points), count) array (one
+    layer without the derivative), samples innermost, so a step is a few
+    array operations over long rows; (z Phi)' = z Phi' + Phi.  The results
+    are transposed views.
     """
-    z = np.asarray(points, dtype=complex)
-    phi = np.zeros((2, alpha.shape[0], z.size), dtype=complex)
+    z = np.asarray(points, dtype=complex)[:, None]
+    alpha_t = np.ascontiguousarray(alpha.T)
+    alpha_bar = np.conj(alpha_t)
+    phi = np.zeros((2 if derivative else 1, z.shape[0], alpha.shape[0]), dtype=complex)
     phi[0] = 1
     star = phi.copy()
-    alpha_bar = np.conj(alpha)
-    for k in range(alpha.shape[1]):
+    for k in range(alpha_t.shape[0]):
         z_phi = z * phi
-        z_phi[1] += phi[0]
-        phi, star = (
-            z_phi - alpha_bar[:, k:k + 1] * star,
-            star - alpha[:, k:k + 1] * z_phi,
-        )
-    return star[0], star[1]
+        if derivative:
+            z_phi[1] += phi[0]
+        phi, star = z_phi - alpha_bar[k] * star, star - alpha_t[k] * z_phi
+    return star[0].T, star[1].T if derivative else None
 
 
 def _tilted_char_batch(rng, count: int, big_n: int, points, tilt):
@@ -142,7 +143,7 @@ def _tilted_char_batch(rng, count: int, big_n: int, points, tilt):
     |alpha_{N-1}| = 1.
     """
     z = np.asarray(points, dtype=complex)
-    tilt = np.asarray(tilt, dtype=float)
+    half_tilt = np.asarray(tilt, dtype=float) / 2  # exact: a power of two
     # the draws of every step at once; E_k only picks between them (column 4 is
     # the uniform angle or the disc point's radius, whichever branch is taken)
     u = rng.random((count, big_n, 6))
@@ -153,32 +154,44 @@ def _tilted_char_batch(rng, count: int, big_n: int, points, tilt):
     s_one = 1 - first
     s_two = 1 - first * u[:, :, 1] ** (1.0 / (m + 1))
     s_one[:, ~free] = s_two[:, ~free] = 1
-    dip = np.exp(2j * np.arccos(np.sqrt(u[:, :, 4]) * np.cos(2 * np.pi * u[:, :, 5])))
-    flat = np.exp(2j * np.pi * u[:, :, 4])
+    # 2i theta for each branch of the tilted phase; a step exponentiates the chosen one
+    dip = 2j * np.arccos(np.sqrt(u[:, :, 4]) * np.cos(2 * np.pi * u[:, :, 5]))
+    flat = 2j * np.pi * u[:, :, 4]
+    # one contiguous row over the samples per step
+    root_one, root_two, dip, flat, pick_s, pick_phase = (
+        np.ascontiguousarray(a.T)
+        for a in (np.sqrt(s_one), np.sqrt(s_two), dip, flat, u[:, :, 2], u[:, :, 3])
+    )
+    tiny = np.finfo(float).tiny
     # |chi_g(z)| = |z|^N |chi_g(1 / conj(z))| and b_k(1 / conj(z)) = 1 / conj(b_k(z)):
     # a point outside the disc tilts through its reflection
     outside = np.abs(z) > 1
+    reflect = outside.any()
     shape = (count, z.size)
     phi, star = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
     weight = np.ones(count)
-    for k in range(big_n):
-        z_phi = z * phi
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero Phi*_k makes b_k infinite or NaN; E_k is then 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(big_n):
+            z_phi = z * phi
             b = z_phi / star
-            b[:, outside] = 1 / np.conj(b[:, outside])
-            e = b @ tilt / 2
-        e = np.where(np.isfinite(e), e, 0)
-        size = np.abs(e)
-        unit = np.where(size > 0, np.conj(e) / np.maximum(size, np.finfo(float).tiny), 1)
-        size = np.minimum(size, TILT_MAX)
-        z_k = 1 + size ** 2 / (m[k] + 1)  # E|alpha_k|^2 = 1 / (m_k + 1)
-        root_s = np.sqrt(np.where(u[:, k, 2] * z_k < z_k - 1, s_two[:, k], s_one[:, k]))
-        w = root_s * size
-        cis = np.where(u[:, k, 3] * (1 + w * w) < 2 * w, dip[:, k], flat[:, k])
-        weight *= z_k / (1 + w * w - 2 * w * cis.real)
-        # alpha E = w e^{i theta} for the clipped E
-        alpha = (root_s * cis * unit)[:, None]
-        phi, star = z_phi - np.conj(alpha) * star, star - alpha * z_phi
+            if reflect:
+                b[:, outside] = 1 / np.conj(b[:, outside])
+            # b stays C-contiguous (count, points): a (points, count) copy rounds differently
+            e = b @ half_tilt
+            e = np.where(np.isfinite(e), e, 0)
+            size = np.abs(e)
+            unit = np.where(size > 0, np.conj(e) / np.maximum(size, tiny), 1)
+            size = np.minimum(size, TILT_MAX)
+            z_k = 1 + size ** 2 / (m[k] + 1)  # E|alpha_k|^2 = 1 / (m_k + 1)
+            root_s = np.where(pick_s[k] * z_k < z_k - 1, root_two[k], root_one[k])
+            w = root_s * size
+            one_w2, two_w = 1 + w * w, 2 * w
+            cis = np.exp(np.where(pick_phase[k] * one_w2 < two_w, dip[k], flat[k]))
+            weight *= z_k / (one_w2 - two_w * cis.real)
+            # alpha E = w e^{i theta} for the clipped E
+            alpha = (root_s * cis * unit)[:, None]
+            phi, star = z_phi - np.conj(alpha) * star, star - alpha * z_phi
     return star, weight
 
 
@@ -219,7 +232,8 @@ class Estimator:
     is defined by those `points` and a `char_func` in place of a `func`:
     char_func(chi, dchi) maps chi_g and chi_g' at the points, arrays of shape
     (count, len(points)), to the values.  A call reads them off the spectra
-    (_spectral_char); mc_average draws them from Verblunsky coefficients.
+    (_spectral_char); mc_average draws them from Verblunsky coefficients, and
+    carries chi_g' only when `reads_dchi` is set (else dchi is None).
     chi_{g^{-1}}(w) = conj(chi_g(conj(w))), so points for g^{-1} enter
     conjugated.  One whose values grow like prod_j |chi_g(z_j)|^tilt_j also
     carries that `tilt`; mc_average then draws from the tilted law of
@@ -236,6 +250,7 @@ class Estimator:
         self.points = points
         self.char_func = char_func
         self.tilt = tilt
+        self.reads_dchi = False
 
     def __call__(self, eigs: np.ndarray) -> np.ndarray:
         if self.char_func is None:
@@ -269,10 +284,12 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
         d = tuple(params.pop("d", ()))
         # chi_g at a and d, chi_{g^{-1}} at b and c
         points = (*a, *np.conj(b), *d, *np.conj(c))
-        cuts = np.cumsum([len(a), len(b), len(d)])
+        cut_b, cut_d, cut_c = np.cumsum([len(a), len(b), len(d)])
 
         def ratio_char(chi, dchi):
-            at_a, at_b, at_d, at_c = np.split(chi, cuts, axis=1)
+            at_a, at_b, at_d, at_c = (
+                chi[:, :cut_b], chi[:, cut_b:cut_d], chi[:, cut_d:cut_c], chi[:, cut_c:]
+            )
             return (
                 np.prod(at_a, axis=1) * np.prod(np.conj(at_b), axis=1)
                 / np.prod(at_d, axis=1) / np.prod(np.conj(at_c), axis=1)
@@ -296,6 +313,7 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             return eps * logder[:, 0] * phi * np.conj(logder[:, 1])
 
         est = Estimator(None, pred, (eps, phi.conjugate()), pair_char)
+        est.reads_dchi = True
     elif name == "completed_logder_pair":
         eps = complex(params.pop("eps", 0.3))
         phi = complex(params.pop("phi", 0.3))
@@ -308,6 +326,7 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
             return lhs * rhs
 
         est = Estimator(None, pred, (eps, phi.conjugate()), completed_char)
+        est.reads_dchi = True
     elif name == "explicit_sum":
         h = catalog_function(params.pop("h", "one"))
 
@@ -349,14 +368,18 @@ def mc_average(functional, big_n: int, samples: int, seed: int, workers: int = 1
     """Monte Carlo average of a callable functional over Haar samples.
 
     A functional with a `char_func` (see Estimator) is evaluated only through
-    that char_func, on chi_g and chi_g' from Verblunsky coefficients (drawn
-    from the tilted law and weighted when it carries a `tilt`); its own call
-    is never made, so the body of a functools.wraps wrapper around an
-    Estimator does not run.  Any other callable gets spectra from QR.  The
-    sample stream is split into chunks of CHUNK samples; chunk i uses the
-    generator seeded by SeedSequence((seed, i)).  Rejected (NaN) evaluations
-    are dropped and counted.
+    that char_func, on chi_g from Verblunsky coefficients and on chi_g' only
+    if it `reads_dchi` (else dchi is None); when it carries a `tilt` they are
+    drawn from the tilted law, with dchi None, and each value is weighted.
+    Its own call is never made, so the body of a functools.wraps wrapper
+    around an Estimator does not run.  Any other callable gets spectra from
+    QR.  The sample stream is split into chunks of CHUNK samples; chunk i
+    uses the generator seeded by SeedSequence((seed, i)).  Rejected (NaN)
+    evaluations are dropped and counted.  N < 0, M < 100 and workers < 1 are
+    refused.
     """
+    if big_n < 0:
+        raise ValueError(f"N must be non-negative, got {big_n}")
     if samples < 100:
         raise ValueError("need at least 100 samples")
     if workers < 1:
@@ -370,7 +393,9 @@ def mc_average(functional, big_n: int, samples: int, seed: int, workers: int = 1
     elif getattr(functional, "char_func", None) is not None:
         def evaluate(rng, count):
             alpha = _verblunsky_batch(rng, count, big_n)
-            return functional.char_func(*_szego_batch(alpha, functional.points))
+            return functional.char_func(
+                *_szego_batch(alpha, functional.points, functional.reads_dchi)
+            )
     else:
         def evaluate(rng, count):
             return functional(_haar_batch(rng, count, big_n))
@@ -380,9 +405,10 @@ def mc_average(functional, big_n: int, samples: int, seed: int, workers: int = 1
     def run_chunk(args):
         index, count = args
         rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-        vals = np.asarray(evaluate(rng, count), dtype=complex)
-        good = ~np.isnan(vals.real) & ~np.isnan(vals.imag)
-        v = vals[good]
+        v = np.asarray(evaluate(rng, count), dtype=complex)
+        nan = np.isnan(v)  # NaN in either part
+        if nan.any():
+            v = v[~nan]
         return (
             np.sum(v),
             np.sum(v.real ** 2),

@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 75 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 79 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  An uncaught exception counts as exit code 1 with
 its type and message on stderr.  Run it on two checkouts and compare the lines:
@@ -77,6 +77,10 @@ INVOCATIONS = (
        for target in ("logders-main", "completed-main")]
     + [["compute", "logders-main", "--e", "0", "--f", "0.3", "--part-cap", "0"],
        ["compute", "ls", "--lambda", "21", "--x", "0.5", "--y", "0.7", "--method", "comb"]]
+    # zero standard error off the prediction (z null); a negative N (exit 2)
+    + [["mc", "--estimator", est, "--N", "0", "--M", "100"]
+       for est in ("logder_pair", "completed_logder_pair")]
+    + [["mc", "--estimator", est, "--N", "-1", "--M", "100"] for est in ("ratio", "logder_pair")]
 )
 # the csv and text renderings of one compute, one mc and one verify payload
 INVOCATIONS += [

@@ -125,6 +125,24 @@ def test_mc_nonpositive_workers_exit_2(workers, capsys):
     assert "workers" in payload["error"]
 
 
+@pytest.mark.parametrize("estimator", ["ratio", "logder_pair", "trace"])
+def test_mc_negative_n_exits_2(estimator, capsys):
+    code, payload = run_json(["mc", "--estimator", estimator, "--N", "-1", "--M", "100"], capsys)
+    assert code == 2
+    assert payload["error"] == "N must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("estimator, z_score", [
+    ("logder_pair", None), ("completed_logder_pair", None), ("abs_char_sq", 0.0),
+])
+def test_mc_zero_stderr_z_score(estimator, z_score, capsys):
+    # at N = 0 every sample is the same value: a miss has no finite z, a hit has z 0
+    code, payload = run_json(["mc", "--estimator", estimator, "--N", "0", "--M", "100"], capsys)
+    assert code == 0 and payload["estimate"]["stderr"] == 0
+    assert payload["z_score"] == z_score
+    assert (payload["prediction"]["re"] == payload["estimate"]["mean_re"]) == (z_score == 0)
+
+
 def test_verify_suite_pass(capsys):
     code, payload = run_json(
         ["verify", "overlap-1", "--seed", "7", "--instances", "10"], capsys

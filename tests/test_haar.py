@@ -23,7 +23,7 @@ from lsrmt.haar import (
 from lsrmt.partitions import partitions_up_to
 from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, moment_unitary, ratio_avg
 from lsrmt.symfunc import schur_comb
-from util import rel_err, two_array_szego
+from util import loop_tilted_char, rel_err, two_array_szego
 
 
 def test_sample_haar_unit_modulus_and_det():
@@ -276,7 +276,7 @@ def test_szego_chi_matches_the_spectrum_of_its_zeros():
     big_n = 6
     alpha = _verblunsky_batch(np.random.default_rng(8), 4, big_n)
     points = (0.3 + 0.2j, 1.4 - 0.5j, -0.7j)
-    chi, dchi = _szego_batch(alpha, points)
+    chi, dchi = _szego_batch(alpha, points, True)
     assert chi.shape == dchi.shape == (4, len(points))
     for row, coeffs in enumerate(alpha):
         eigs = _paraorthogonal_zeros(coeffs)[None, :]
@@ -289,9 +289,9 @@ def test_szego_chi_matches_the_spectrum_of_its_zeros():
 def test_szego_derivative_matches_finite_difference():
     alpha = _verblunsky_batch(np.random.default_rng(6), 3, 9)
     z, h = np.array([0.5 - 0.3j, 1.2 + 0.1j]), 1e-6
-    _, dchi = _szego_batch(alpha, z)
-    ahead, _ = _szego_batch(alpha, z + h)
-    behind, _ = _szego_batch(alpha, z - h)
+    _, dchi = _szego_batch(alpha, z, True)
+    ahead, _ = _szego_batch(alpha, z + h, False)
+    behind, _ = _szego_batch(alpha, z - h, False)
     assert np.max(np.abs((ahead - behind) / (2 * h) - dchi)) < 1e-7
 
 
@@ -302,10 +302,14 @@ def test_stacked_szego_equals_two_array_recursion_bitwise(big_n):
     rng = np.random.default_rng(60 + big_n)
     for count in range(1, len(points) + 1):
         alpha = _verblunsky_batch(rng, 7, big_n)
-        chi, dchi = _szego_batch(alpha, points[:count])
+        chi, dchi = _szego_batch(alpha, points[:count], True)
         want_chi, want_dchi = two_array_szego(alpha, points[:count])
         assert chi.shape == dchi.shape == (7, count)
         assert np.array_equal(chi, want_chi) and np.array_equal(dchi, want_dchi)
+        # the chi-only recursion skips the derivative layer and nothing else
+        chi_only, none = _szego_batch(alpha, points[:count], False)
+        assert none is None
+        assert chi_only.shape == (7, count) and np.array_equal(chi_only, want_chi)
 
 
 @pytest.mark.parametrize("big_n", [1, 2, 10, 50])
@@ -404,11 +408,11 @@ def test_verblunsky_pole_guard():
     # at N = 1, chi(z) = 1 - alpha_0 z, so z = 1/alpha_0 is a zero of chi
     alpha0 = np.exp(0.7j)
     alpha = np.array([[alpha0], [np.exp(2.1j)]])
-    assert abs(_szego_batch(alpha, (1 / alpha0,))[0][0, 0]) < 1e-15
+    assert abs(_szego_batch(alpha, (1 / alpha0,), False)[0][0, 0]) < 1e-15
     for name in ("logder_pair", "completed_logder_pair"):
         for eps, phi in ((1 / alpha0, 0.3), (0.3, np.conj(1 / alpha0))):
             est = make_estimator(name, 1, eps=eps, phi=phi)
-            vals = est.char_func(*_szego_batch(alpha, est.points))
+            vals = est.char_func(*_szego_batch(alpha, est.points, est.reads_dchi))
             assert np.isnan(vals[0].real) and np.isnan(vals[0].imag)
             assert np.isfinite(vals[1])
 
@@ -421,6 +425,46 @@ def _untilted(est):
     plain = functools.wraps(est)(lambda e: est(e))
     plain.tilt = None
     return plain
+
+
+# z = 0, a point outside the disc and one on the circle; then ratio's points at
+# a = d and b = c, where E_k = 0 at every step and no point needs reflecting
+TILTED_CASES = [
+    ((0j, 1.7 - 0.4j, 0.6 + 0.8j, 0.3 + 0.2j), (1, 1, -1, -1)),
+    ((0j, 1.7 - 0.4j), (1, -1)),
+    ((0j, 1.7 - 0.4j, 0.6 + 0.8j, 0.3 + 0.2j), (1, 1, -1, 1)),
+    ((0.6, -0.5j, 0.6, -0.5j), (1, 1, -1, -1)),
+]
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 3, 10, 50])
+@pytest.mark.parametrize("case", range(len(TILTED_CASES)))
+def test_tilted_draw_equals_step_by_step_loop_bitwise(big_n, case):
+    points, tilt = TILTED_CASES[case]
+    for count in (1, 7, 300):
+        seed = (big_n, count, case)
+        chi, weight = _tilted_char_batch(np.random.default_rng(seed), count, big_n, points, tilt)
+        want_chi, want_weight = loop_tilted_char(
+            np.random.default_rng(seed), count, big_n, points, tilt
+        )
+        assert chi.shape == (count, len(tilt)) and weight.shape == (count,)
+        assert np.array_equal(chi, want_chi) and np.array_equal(weight, want_weight)
+
+
+@pytest.mark.parametrize("name", sorted(CHAR_ESTIMATORS))
+def test_char_estimators_equal_the_oracle_kernels_end_to_end(name, monkeypatch):
+    # several chunks with a short last one; ratio with a point outside the disc
+    params = CHAR_ESTIMATORS[name]
+    if name == "ratio":
+        params = {"a": (1.2 + 0.1j, 0.5j), "b": (0.8,), "c": (0.3,), "d": (0.2 - 0.1j,)}
+    monkeypatch.setattr(haar, "CHUNK", 700)
+    est = make_estimator(name, 9, **params)
+    got = mc_average(est, 9, 2500, seed=17)
+    monkeypatch.setattr(haar, "_tilted_char_batch", loop_tilted_char)
+    monkeypatch.setattr(
+        haar, "_szego_batch", lambda alpha, points, derivative: two_array_szego(alpha, points)
+    )
+    assert mc_average(est, 9, 2500, seed=17) == got
 
 
 def test_tilted_weights_average_to_one():

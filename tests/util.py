@@ -5,9 +5,9 @@ sum of two partitions, the partition enumerator without pruning, ribbon
 heights and horizontal strips read off the diagram, Littlewood-Schur
 functions by their Littlewood-Richardson definition, the leading moment
 coefficient f_k, the Vandermonde product, e_r and h_r summed over subsets,
-the exact z-statistic, and the dict-keyed m_lambda dynamic program and the
-two-array Szego recursion that the planned kernel and the stacked recursion
-must match bit for bit.
+the exact z-statistic, and the dict-keyed m_lambda dynamic program, the
+two-array Szego recursion and the step-by-step tilted draw that the planned
+kernel, the stacked recursion and the tilted sampler must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from math import factorial
 
 import numpy as np
 
+from lsrmt.haar import TILT_MAX
 from lsrmt.partitions import (
     canonical,
     conjugate,
@@ -214,3 +215,47 @@ def two_array_szego(alpha, points):
         phi, star = z_phi - a_bar * star, star - a * z_phi
         dphi, dstar = dz_phi - a_bar * dstar, dstar - a * dz_phi
     return star, dstar
+
+
+def loop_tilted_char(rng, count, big_n, points, tilt):
+    """Oracle: the tilted Verblunsky draw of haar._tilted_char_batch, step by step.
+
+    The same draws and the same floating-point operations on the same
+    operands, written as one plain loop over k: every quantity is recomputed
+    where it is used, both phase arrays are exponentiated in full, and points
+    outside the disc are reflected at every step.
+    """
+    z = np.asarray(points, dtype=complex)
+    tilt = np.asarray(tilt, dtype=float)
+    u = rng.random((count, big_n, 6))
+    m = np.arange(big_n - 1, -1, -1)
+    free = m > 0
+    first = np.ones((count, big_n))
+    first[:, free] = u[:, free, 0] ** (1.0 / m[free])
+    s_one = 1 - first
+    s_two = 1 - first * u[:, :, 1] ** (1.0 / (m + 1))
+    s_one[:, ~free] = s_two[:, ~free] = 1
+    dip = np.exp(2j * np.arccos(np.sqrt(u[:, :, 4]) * np.cos(2 * np.pi * u[:, :, 5])))
+    flat = np.exp(2j * np.pi * u[:, :, 4])
+    outside = np.abs(z) > 1
+    shape = (count, z.size)
+    phi, star = np.ones(shape, dtype=complex), np.ones(shape, dtype=complex)
+    weight = np.ones(count)
+    for k in range(big_n):
+        z_phi = z * phi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = z_phi / star
+            b[:, outside] = 1 / np.conj(b[:, outside])
+            e = b @ tilt / 2
+        e = np.where(np.isfinite(e), e, 0)
+        size = np.abs(e)
+        unit = np.where(size > 0, np.conj(e) / np.maximum(size, np.finfo(float).tiny), 1)
+        size = np.minimum(size, TILT_MAX)
+        z_k = 1 + size ** 2 / (m[k] + 1)
+        root_s = np.sqrt(np.where(u[:, k, 2] * z_k < z_k - 1, s_two[:, k], s_one[:, k]))
+        w = root_s * size
+        cis = np.where(u[:, k, 3] * (1 + w * w) < 2 * w, dip[:, k], flat[:, k])
+        weight *= z_k / (1 + w * w - 2 * w * cis.real)
+        alpha = (root_s * cis * unit)[:, None]
+        phi, star = z_phi - np.conj(alpha) * star, star - alpha * z_phi
+    return star, weight
