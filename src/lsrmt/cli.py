@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import partitions, rmt, symfunc
 from .haar import make_estimator, mc_average
 from .rmt import QuadratureError, TruncationError
-from .verify import SUITES, run_suite
+from .verify import run_suite
 
 SCHEMA = "ls-rmt/1"
 
@@ -68,7 +68,8 @@ def emit(payload: dict, output: str) -> str:
     if output == "csv":
         flat = _flatten(payload)
         keys = sorted(flat)
-        return ",".join(keys) + "\n" + ",".join(str(flat[k]) for k in keys)
+        cells = ("" if flat[k] is None else str(flat[k]) for k in keys)
+        return ",".join(keys) + "\n" + ",".join(cells)
     lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items())]
     return "\n".join(lines)
 
@@ -155,8 +156,6 @@ def cmd_compute(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    if args.suite not in SUITES:
-        raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     report = run_suite(args.suite, args.seed, instances=args.instances, tol=args.tolerance)
     code = 0 if report["pass"] else 1
     return {"config": {"suite": args.suite, "seed": args.seed}, "report": report}, code

@@ -104,27 +104,22 @@ def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
 
     schur form: prod over beta of beta^N times the rectangular Schur function
     s_<N^m>(A cup B^{-1}) with m = l(B); split_sum form: the equivalent sum
-    over splits of A cup B^{-1} into m and n variables.
+    over splits of A cup B^{-1}, which is ratio_avg with C = D = {}.
     """
     a_vars, b_vars = as_varset(a_vars), as_varset(b_vars)
     if any(v == 0 for v in a_vars + b_vars):
         raise ValueError("variables must be non-zero")
-    m, n = len(b_vars), len(a_vars)
+    if form == "split_sum":
+        return ratio_avg(a_vars, b_vars, (), (), big_n)
+    if form != "schur":
+        raise ValueError(f"unknown form {form!r}")
+    m = len(b_vars)
     ab = a_vars + inv(b_vars)
     prefactor = e_prod(b_vars) ** big_n
-    if form == "schur":
-        lam = (big_n,) * m
-        if _distinct(ab):
-            return prefactor * schur_det(lam, ab)
-        return prefactor * schur_comb(lam, ab, cap=max(20, big_n * m))
-    if form == "split_sum":
-        if not _distinct(ab):
-            raise ValueError("split_sum form needs pairwise distinct A cup B^{-1}")
-        total = 0j
-        for s, t in ordered_splits(ab, m):
-            total += e_prod(s) ** (n + big_n) / _delta2(s, t)
-        return prefactor * total
-    raise ValueError(f"unknown form {form!r}")
+    lam = (big_n,) * m
+    if _distinct(ab):
+        return prefactor * schur_det(lam, ab)
+    return prefactor * schur_comb(lam, ab, cap=max(20, big_n * m))
 
 
 def ratio_avg(a_vars, b_vars, c_vars, d_vars, big_n: int) -> complex:

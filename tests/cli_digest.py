@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 79 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 81 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  An uncaught exception counts as exit code 1 with
 its type and message on stderr.  Run it on two checkouts and compare the lines:
@@ -89,6 +89,11 @@ INVOCATIONS += [
     for argv in (["compute", "moment", "--k", "2", "--N", "5"],
                  ["mc", "--estimator", "abs_char_sq", *MC_SMALL],
                  ["verify", "cauchy", "--seed", "0"])
+]
+# a JSON null in csv (an empty field); mn-all failures, each with its error (exit 1)
+INVOCATIONS += [
+    ["--output", "csv", "mc", "--estimator", "logder_pair", "--N", "0", "--M", "100"],
+    ["verify", "mn-all", "--seed", "2", "--instances", "5", "--tolerance", "1e-30"],
 ]
 
 

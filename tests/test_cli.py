@@ -189,8 +189,7 @@ def test_verify_subpartition_fails_at_impossible_tolerance(capsys):
         ("overlap-1", "3", {"lam", "mu", "nu", "l", "err"}),
         ("overlap-2", "3", {"lam", "l", "m", "n", "err"}),
         ("subpartition", "1", {"kappa", "m", "n", "l", "err"}),
-        # the first failures are mn-negative-r checks, which report no error
-        ("mn-all", "5", {"check", "mu", "k"}),
+        ("mn-all", "5", {"check", "mu", "k", "err"}),
         ("cauchy", "1", {"check", "err"}),
         ("recipe-consistency", "3", {"check", "err"}),
     ],
@@ -270,6 +269,19 @@ def test_csv_and_text_outputs(capsys):
     )
     assert code == 0
     assert "result" in out
+
+
+def test_csv_renders_null_as_empty_field(capsys):
+    # at N = 0 the standard error is 0 and the mean misses the prediction: z is null
+    args = ["mc", "--estimator", "logder_pair", "--N", "0", "--M", "100"]
+    code, payload = run_json(args, capsys)
+    assert code == 0 and payload["z_score"] is None
+    code, out = run_cli(["--output", "csv", *args], capsys)
+    assert code == 0
+    header, row = out.split("\n")
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["z_score"] == ""
+    assert "None" not in row
 
 
 @pytest.mark.parametrize(

@@ -89,7 +89,7 @@ def test_ratio_avg_reduces_to_product():
     b = random_points(rng, 1, avoid=a)
     for big_n in (2, 4):
         got = ratio_avg(a, b, (), (), big_n)
-        want = product_avg(a, b, big_n, form="split_sum")
+        want = product_avg(a, b, big_n, form="schur")
         assert rel_err(got, want) < 1e-9
 
 

@@ -82,15 +82,17 @@ def test_hall_inner_orthonormal():
 def test_mn_negative_simple():
     rng = np.random.default_rng(5)
     xs = random_points(rng, 2)
-    value = mn_negative((2, 2), 1, xs)
-    lhs = schur_comb((2, 2), xs) * basis_eval((1,), inv(xs))
-    assert rel_err(value, lhs) < 1e-9
+    lhs, rhs = mn_negative((2, 2), 1, xs)
+    assert rel_err(lhs, rhs) < 1e-9
+    want = schur_comb((2, 2), xs) * basis_eval((1,), inv(xs))
+    assert rel_err(lhs, want) < 1e-9
 
 
 def test_mn_negative_rectangle():
     rng = np.random.default_rng(6)
     xs = random_points(rng, 2)
-    mn_negative((3, 3), 2, xs)
+    lhs, rhs = mn_negative((3, 3), 2, xs)
+    assert rel_err(lhs, rhs) < 1e-9
 
 
 def test_mn_negative_precondition():

@@ -5,7 +5,8 @@ sum of two partitions, the partition enumerator without pruning, ribbon
 heights and horizontal strips read off the diagram, Littlewood-Schur
 functions by their Littlewood-Richardson definition, the leading moment
 coefficient f_k, the Vandermonde product, e_r and h_r summed over subsets,
-the exact z-statistic, and the dict-keyed m_lambda dynamic program, the
+the exact z-statistic, the recipe's ratio-and-log-derivative main term as
+two truncated power-sum series, and the dict-keyed m_lambda dynamic program, the
 two-array Szego recursion and the step-by-step tilted draw that the planned
 kernel, the stacked recursion and the tilted sampler must match bit for bit.
 """
@@ -29,7 +30,7 @@ from lsrmt.partitions import (
     size,
     subdiagrams,
 )
-from lsrmt.symfunc import _delta, as_varset, e_prod, lr_coeff, schur_comb
+from lsrmt.symfunc import _delta, as_varset, basis_eval, e_prod, lr_coeff, neg, schur_comb
 from lsrmt.verify import random_partition, random_points, rel_err  # noqa: F401
 
 
@@ -166,6 +167,19 @@ def z_stat(lam) -> Fraction:
     for i, m in multiplicities(lam).items():
         z *= Fraction(i) ** m * factorial(m)
     return z
+
+
+def series_logders_ratio_main_single(b_vars, c_vars, eps) -> complex:
+    """Oracle: the main term for B, C nonempty, E = (eps), F = {}, as two series
+    truncated at 59 terms, one per recipe branch."""
+    total = 0j
+    # branch E' = (), E'' = (eps): psi empty, chi = (q)
+    for q in range(1, 60):
+        total += (-eps) ** (q - 1) * basis_eval((q,), neg(b_vars))
+    # branch E' = (eps), E'' = (): psi = (s), omega empty
+    for s in range(1, 60):
+        total += eps ** (s - 1) * basis_eval((s,), c_vars)
+    return -total
 
 
 def dict_monomial(lam, values, zero):
