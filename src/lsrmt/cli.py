@@ -11,7 +11,9 @@ tolerance, or a quadrature grid that does not converge.  Errors print
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -68,10 +70,22 @@ def emit(payload: dict, output: str) -> str:
     if output == "csv":
         flat = _flatten(payload)
         keys = sorted(flat)
-        cells = ("" if flat[k] is None else str(flat[k]) for k in keys)
-        return ",".join(keys) + "\n" + ",".join(cells)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerow(_csv_cell(flat[k]) for k in keys)
+        return buf.getvalue()[:-1]
     lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items())]
     return "\n".join(lines)
+
+
+def _csv_cell(value) -> str:
+    """One csv field: null empty, a list as compact JSON, a scalar as str."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return str(value)
 
 
 def _flatten(d, prefix=""):
@@ -284,7 +298,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.func(args)
-    except (SystemExit2, ValueError, KeyError, TruncationError, QuadratureError) as exc:
+    except (SystemExit2, ValueError, TruncationError, QuadratureError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 2
     payload = {"schema": SCHEMA, "command": args.command, **payload}

@@ -29,6 +29,8 @@ from .partitions import (
 
 DISTINCT_EPS = 1e-6
 SIZE_CAP = 20
+# matrix entries _ls_det_many builds per dimension before moving them into an array
+STACK_CHUNK = 1024
 
 VarSet = tuple[complex, ...]
 
@@ -442,10 +444,12 @@ def _ls_det_many(items) -> list[complex]:
     Each plan is an ``_ls_det_plan`` entry for the item's variable counts.
     The matrices of one dimension go to one ``np.linalg.det`` call on a
     stack, which factors each matrix as it would factor it alone, so every
-    value is the one-item value.
+    value is the one-item value.  Their entries, built as Python complex
+    numbers, move into arrays every STACK_CHUNK entries, so a large stack
+    holds few Python objects at a time.
     """
     out = [0j] * len(items)
-    stacks = {}  # dim -> (item indices, matrices)
+    stacks = {}  # dim -> (item indices, filled arrays, entries not yet in an array)
     for i, (plan, xs, ys) in enumerate(items):
         if plan is None:
             continue
@@ -454,15 +458,22 @@ def _ls_det_many(items) -> list[complex]:
                 "X union Y has coincident variables; use ls_comb"
             )
         dim, x_exps, y_exps, _ = plan
-        # rows [1/(x - y) | x^a] for x in X, then [y^b | 0] for each exponent b
-        rows = [[1 / (x - y) for y in ys] + [x ** e for e in x_exps] for x in xs]
-        pad = [0j] * (dim - len(ys))
-        rows += [[y ** e for y in ys] + pad for e in y_exps]
-        where, mats = stacks.setdefault(dim, ([], []))
+        where, arrays, flat = stacks.setdefault(dim, ([], [], []))
         where.append(i)
-        mats.append(rows)
-    for dim, (where, mats) in stacks.items():
-        dets = np.linalg.det(np.array(mats, dtype=complex).reshape(len(mats), dim, dim))
+        # rows [1/(x - y) | x^a] for x in X, then [y^b | 0] for each exponent b
+        for x in xs:
+            flat += [1 / (x - y) for y in ys]
+            flat += [x ** e for e in x_exps]
+        pad = [0j] * (dim - len(ys))
+        for e in y_exps:
+            flat += [y ** e for y in ys]
+            flat += pad
+        if len(flat) >= STACK_CHUNK:
+            arrays.append(np.array(flat, dtype=complex))
+            flat.clear()
+    for dim, (where, arrays, flat) in stacks.items():
+        arrays.append(np.array(flat, dtype=complex))
+        dets = np.linalg.det(np.concatenate(arrays).reshape(len(where), dim, dim))
         for i, det in zip(where, dets.tolist()):
             (_, _, _, sign), xs, ys = items[i]
             out[i] = sign * _delta2(ys, xs) / (_delta(xs) * _delta(ys)) * det

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .overlap_identities import first_overlap_rhs, second_overlap_rhs
+from .overlap_identities import _first_overlap_terms, _second_overlap_terms
 from .partitions import (
     c_seq,
     canonical,
@@ -48,7 +48,6 @@ from .symfunc import (
     delta2,
     inv,
     ls_comb,
-    ls_det,
     neg,
     schur_comb,
     schur_det,
@@ -114,9 +113,13 @@ class _Checks:
 
 
 def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> dict:
-    """The five characterizing properties of Littlewood-Schur functions."""
+    """The five characterizing properties of Littlewood-Schur functions.
+
+    All instances are drawn first, then their ls_det values come from one stack.
+    """
     rng = np.random.default_rng(seed)
     checks = _Checks(tol)
+    drawn, items = [], []
     for _ in range(instances):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         lam = random_partition(rng, 6)
@@ -125,12 +128,22 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         a = complex(*rng.uniform(0.5, 1.2, size=2))
         perm_x = tuple(xs[i] for i in rng.permutation(n))
         perm_y = tuple(ys[i] for i in rng.permutation(m))
+        t = complex(*rng.uniform(0.4, 1.1, size=2))
+        alpha = random_partition(rng, 4, max_len=n)
+        beta = random_partition(rng, 4, max_len=m)
+        lam_f = canonical(tuple(p + m for p in alpha + (0,) * (n - len(alpha))) + conjugate(beta))
         plan = _ls_det_plan(lam, n, m)
-        base, scaled, permuted = _ls_det_many((
+        items += (
             (plan, xs, ys),
             (plan, tuple(a * x for x in xs), tuple(a * y for y in ys)),
             (plan, perm_x, perm_y),
-        ))
+            (_ls_det_plan(lam_f, n, m), xs, ys),
+        )
+        drawn.append((lam, xs, ys, a, t, alpha, beta, lam_f))
+
+    vals = iter(_ls_det_many(items))
+    for lam, xs, ys, a, t, alpha, beta, lam_f in drawn:
+        base, scaled, permuted, got = next(vals), next(vals), next(vals), next(vals)
 
         # homogeneity: LS(-aX; aY) = a^{|lam|} LS(-X; Y)
         checks.record(rel_err(scaled, a ** sum(lam) * base), property="homogeneity", lam=list(lam))
@@ -150,34 +163,24 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         )
 
         # cancellation: x_n = y_m removes one variable from each side
-        t = complex(*rng.uniform(0.4, 1.1, size=2))
         checks.record(
             rel_err(ls_comb(lam, neg(xs) + (-t,), ys + (t,)), comb),
             property="cancellation",
             lam=list(lam),
         )
 
-        # factorization at lam = (<m^n> + alpha) cup beta'
-        alpha = random_partition(rng, 4, max_len=n)
-        beta = random_partition(rng, 4, max_len=m)
-        lam_f = canonical(
-            tuple(
-                p + m for p in (alpha + (0,) * (n - len(alpha)))
-            )
-            + conjugate(beta)
-        )
-        got = ls_det(lam_f, xs, ys)
+        # factorization at lam_f = (<m^n> + alpha) cup beta'
         want = delta2(ys, xs) * schur_det(alpha, neg(xs)) * schur_det(beta, ys)
         checks.record(rel_err(got, want), property="factorization", lam=list(lam_f))
     return checks.report("ls-properties", seed, instances)
 
 
 def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
-    """Seeded random instances of the first overlap identity."""
+    """Seeded random instances of the first overlap identity, all in one stack."""
     rng = np.random.default_rng(seed)
     checks = _Checks(tol)
-    done = 0
-    while done < instances:
+    items, folds = [], []
+    while len(folds) < instances:
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 4))
         lam = random_partition(rng, 10, max_len=n + m)
@@ -190,19 +193,23 @@ def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> 
         mu, nu, _ = fiber[int(rng.integers(len(fiber)))]
         xs = random_points(rng, n)
         ys = random_points(rng, m, avoid=xs)
-        lhs = ls_det(lam, xs, ys)
-        rhs = first_overlap_rhs(mu, nu, l, tail, xs, ys)
-        checks.record(rel_err(lhs, rhs), lam=list(lam), mu=list(mu), nu=list(nu), l=l)
-        done += 1
+        rhs_items, combine = _first_overlap_terms(mu, nu, l, tail, xs, ys)
+        items.append((_ls_det_plan(lam, n, m), xs, ys))
+        items += rhs_items
+        folds.append((combine, {"lam": list(lam), "mu": list(mu), "nu": list(nu), "l": l}))
+    vals = iter(_ls_det_many(items))
+    for combine, context in folds:
+        lhs = next(vals)
+        checks.record(rel_err(lhs, combine(vals)), **context)
     return checks.report("first-overlap", seed, instances)
 
 
 def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
-    """Seeded random instances of the second overlap identity."""
+    """Seeded random instances of the second overlap identity, all in one stack."""
     rng = np.random.default_rng(seed)
     checks = _Checks(tol)
-    done = 0
-    while done < instances:
+    items, folds = [], []
+    while len(folds) < instances:
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 4))
         lam = random_partition(rng, 10, max_len=n + m)
@@ -212,10 +219,14 @@ def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) ->
         l = int(rng.integers(0, n - k + 1))
         pts = random_points(rng, n + m)
         s_vars, t_vars, ys = pts[:l], pts[l:n], pts[n:]
-        lhs = ls_det(lam, s_vars + t_vars, ys)
-        rhs = second_overlap_rhs(lam, s_vars, t_vars, ys)
-        checks.record(rel_err(lhs, rhs), lam=list(lam), l=l, m=m, n=n)
-        done += 1
+        rhs_items, combine = _second_overlap_terms(lam, s_vars, t_vars, ys)
+        items.append((_ls_det_plan(lam, n, m), s_vars + t_vars, ys))
+        items += rhs_items
+        folds.append((combine, {"lam": list(lam), "l": l, "m": m, "n": n}))
+    vals = iter(_ls_det_many(items))
+    for combine, context in folds:
+        lhs = next(vals)
+        checks.record(rel_err(lhs, combine(vals)), **context)
     return checks.report("second-overlap", seed, instances)
 
 

@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 81 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 85 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  An uncaught exception counts as exit code 1 with
 its type and message on stderr.  Run it on two checkouts and compare the lines:
@@ -90,11 +90,16 @@ INVOCATIONS += [
                  ["mc", "--estimator", "abs_char_sq", *MC_SMALL],
                  ["verify", "cauchy", "--seed", "0"])
 ]
-# a JSON null in csv (an empty field); mn-all failures, each with its error (exit 1)
+# a JSON null in csv (an empty field); lists in csv (quoted JSON cells); the failure
+# reports of mn-all and of the three one-stack suites, each failure with its error (exit 1)
 INVOCATIONS += [
     ["--output", "csv", "mc", "--estimator", "logder_pair", "--N", "0", "--M", "100"],
+    ["--output", "csv", "compute", "schur", "--lambda", "3,2,1", "--x", "0.5,0.7",
+     "--method", "comb"],
     ["verify", "mn-all", "--seed", "2", "--instances", "5", "--tolerance", "1e-30"],
 ]
+INVOCATIONS += [["verify", suite, "--seed", "1", "--tolerance", "1e-30"]
+                for suite in ("overlap-1", "overlap-2", "ls-properties")]
 
 
 def digest(argv) -> str:

@@ -1,9 +1,11 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
+from lsrmt import cli
 from lsrmt.cli import main
 
 
@@ -282,6 +284,33 @@ def test_csv_renders_null_as_empty_field(capsys):
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["z_score"] == ""
     assert "None" not in row
+
+
+def test_csv_quotes_list_values_as_json(capsys):
+    # lists (the partition, the variables) hold commas: one quoted JSON cell each
+    args = ["compute", "schur", "--lambda", "3,2,1", "--x", "0.5,0.7", "--method", "comb"]
+    code, payload = run_json(args, capsys)
+    assert code == 0
+    code, out = run_cli(["--output", "csv", *args], capsys)
+    assert code == 0
+    header, row = csv.reader(out.split("\n"))
+    assert len(row) == len(header) == 8
+    fields = dict(zip(header, row))
+    assert json.loads(fields["config.lambda"]) == payload["config"]["lambda"] == [3, 2, 1]
+    assert json.loads(fields["config.x"]) == payload["config"]["x"]
+    assert fields["config.lambda"] == "[3,2,1]"
+    assert (fields["result.re"], fields["schema"]) == ("0.0", "ls-rmt/1")
+
+
+def test_stray_key_error_is_not_a_usage_error(monkeypatch, capsys):
+    # no program path raises KeyError on purpose: one from a bug fails loudly
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "cauchy"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,23 @@
 import numpy as np
+import pytest
 
-from lsrmt import verify
+from lsrmt import overlap_identities, symfunc, verify
+from lsrmt.overlap_identities import first_overlap_rhs, second_overlap_rhs
 from lsrmt.verify import _logders_ratio_main_single, random_points
-from util import rel_err, series_logders_ratio_main_single
+from util import (
+    loop_first_overlap,
+    loop_ls_properties,
+    loop_second_overlap,
+    rel_err,
+    series_logders_ratio_main_single,
+)
+
+# the suites the benchmark's cli_identities workload runs, at its instance counts
+STACKED_SUITES = (
+    ("ls-properties", loop_ls_properties, 100),
+    ("overlap-1", loop_first_overlap, 250),
+    ("overlap-2", loop_second_overlap, 200),
+)
 
 
 def _random_points_one_by_one(rng, count, avoid=(), rmin=0.3, rmax=1.5, min_sep=1e-3):
@@ -50,3 +65,41 @@ def test_logders_ratio_closed_form_matches_its_series():
         got = _logders_ratio_main_single(b_vars, c_vars, eps)
         want = series_logders_ratio_main_single(b_vars, c_vars, eps)
         assert rel_err(got, want) < 1e-14, (b_vars, c_vars, eps)
+
+
+@pytest.mark.parametrize("name,oracle,instances", STACKED_SUITES)
+def test_stacked_suites_match_per_instance_loops(name, oracle, instances):
+    # one determinant stack per run gives the per-instance reports bit for bit;
+    # at tol=1e-30 every check fails, so the failure lists are compared too
+    for seed in range(10):
+        for tol in (None, 1e-30):
+            got = verify.run_suite(name, seed, instances=instances, tol=tol)
+            kwargs = {} if tol is None else {"tol": tol}
+            assert got == oracle(seed, instances, **kwargs), (name, seed, tol)
+
+
+@pytest.mark.parametrize("name,oracle,instances", STACKED_SUITES)
+def test_stacked_suites_make_one_determinant_call(name, oracle, instances, monkeypatch):
+    calls, kernel = [], symfunc._ls_det_many
+
+    def counting(items):
+        calls.append(len(items))
+        return kernel(items)
+
+    for module in (symfunc, overlap_identities, verify):
+        monkeypatch.setattr(module, "_ls_det_many", counting)
+    report = verify.run_suite(name, 3, instances=instances)
+    assert report["pass"] and report["instances"] == instances
+    assert len(calls) == 1 and calls[0] > instances
+
+
+def test_public_overlap_sides_canonicalize():
+    # lists and trailing zeros give the values of canonical tuples
+    xs, ys = (0.3 + 0.2j, 1.1, -0.7j, 0.5 - 0.4j), (0.9 + 0.1j, -0.6 + 0.5j)
+    # lambda = (3, 2, 1, 1) at n = 4, m = 2: index 1, head (3, 2, 1), tail (1,)
+    want = first_overlap_rhs((4, 1), (3,), 2, (1,), xs, ys)
+    assert want != 0
+    assert first_overlap_rhs([4, 1, 0], [3, 0], 2, [1, 0, 0], list(xs), list(ys)) == want
+    want = second_overlap_rhs((3, 2, 1, 1), xs[:2], xs[2:], ys)
+    assert want != 0
+    assert second_overlap_rhs([3, 2, 1, 1, 0], list(xs[:2]), list(xs[2:]), list(ys)) == want

@@ -8,7 +8,9 @@ coefficient f_k, the Vandermonde product, e_r and h_r summed over subsets,
 the exact z-statistic, the recipe's ratio-and-log-derivative main term as
 two truncated power-sum series, and the dict-keyed m_lambda dynamic program, the
 two-array Szego recursion and the step-by-step tilted draw that the planned
-kernel, the stacked recursion and the tilted sampler must match bit for bit.
+kernel, the stacked recursion and the tilted sampler must match bit for bit,
+and the per-instance loops of the ls-properties and overlap suites, which the
+one-stack suites must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,17 +22,35 @@ from math import factorial
 import numpy as np
 
 from lsrmt.haar import TILT_MAX
+from lsrmt.overlap_identities import first_overlap_rhs, second_overlap_rhs
 from lsrmt.partitions import (
     canonical,
     conjugate,
     contains,
+    mn_index,
     multiplicities,
+    overlap_fiber,
     part,
     partitions_of,
     size,
     subdiagrams,
 )
-from lsrmt.symfunc import _delta, as_varset, basis_eval, e_prod, lr_coeff, neg, schur_comb
+from lsrmt.symfunc import (
+    _delta,
+    _ls_det_many,
+    _ls_det_plan,
+    as_varset,
+    basis_eval,
+    delta2,
+    e_prod,
+    ls_comb,
+    ls_det,
+    lr_coeff,
+    neg,
+    schur_comb,
+    schur_det,
+)
+from lsrmt.verify import _Checks
 from lsrmt.verify import random_partition, random_points, rel_err  # noqa: F401
 
 
@@ -273,3 +293,94 @@ def loop_tilted_char(rng, count, big_n, points, tilt):
         alpha = (root_s * cis * unit)[:, None]
         phi, star = z_phi - np.conj(alpha) * star, star - alpha * z_phi
     return star, weight
+
+
+def loop_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> dict:
+    """Oracle: verify_ls_properties with one determinant stack per instance."""
+    rng = np.random.default_rng(seed)
+    checks = _Checks(tol)
+    for _ in range(instances):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        lam = random_partition(rng, 6)
+        xs = random_points(rng, n)
+        ys = random_points(rng, m, avoid=xs)
+        a = complex(*rng.uniform(0.5, 1.2, size=2))
+        perm_x = tuple(xs[i] for i in rng.permutation(n))
+        perm_y = tuple(ys[i] for i in rng.permutation(m))
+        plan = _ls_det_plan(lam, n, m)
+        base, scaled, permuted = _ls_det_many((
+            (plan, xs, ys),
+            (plan, tuple(a * x for x in xs), tuple(a * y for y in ys)),
+            (plan, perm_x, perm_y),
+        ))
+        checks.record(rel_err(scaled, a ** sum(lam) * base), property="homogeneity", lam=list(lam))
+        checks.record(rel_err(permuted, base), property="double-symmetry", lam=list(lam))
+        comb = ls_comb(lam, neg(xs), ys)
+        checks.record(
+            max(
+                rel_err(ls_comb(lam, neg(xs) + (0j,), ys), comb),
+                rel_err(ls_comb(lam, neg(xs), ys + (0j,)), comb),
+            ),
+            property="restriction",
+            lam=list(lam),
+        )
+        t = complex(*rng.uniform(0.4, 1.1, size=2))
+        checks.record(
+            rel_err(ls_comb(lam, neg(xs) + (-t,), ys + (t,)), comb),
+            property="cancellation",
+            lam=list(lam),
+        )
+        alpha = random_partition(rng, 4, max_len=n)
+        beta = random_partition(rng, 4, max_len=m)
+        lam_f = canonical(tuple(p + m for p in (alpha + (0,) * (n - len(alpha)))) + conjugate(beta))
+        got = ls_det(lam_f, xs, ys)
+        want = delta2(ys, xs) * schur_det(alpha, neg(xs)) * schur_det(beta, ys)
+        checks.record(rel_err(got, want), property="factorization", lam=list(lam_f))
+    return checks.report("ls-properties", seed, instances)
+
+
+def loop_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
+    """Oracle: verify_first_overlap with ls_det and first_overlap_rhs per instance."""
+    rng = np.random.default_rng(seed)
+    checks = _Checks(tol)
+    done = 0
+    while done < instances:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 4))
+        lam = random_partition(rng, 10, max_len=n + m)
+        k = mn_index(lam, m, n)
+        if k < 0:
+            continue
+        l = int(rng.integers(0, n - k + 1))
+        head, tail = lam[: n - k], lam[n - k:]
+        fiber = overlap_fiber(head, l, n - k - l)
+        mu, nu, _ = fiber[int(rng.integers(len(fiber)))]
+        xs = random_points(rng, n)
+        ys = random_points(rng, m, avoid=xs)
+        lhs = ls_det(lam, xs, ys)
+        rhs = first_overlap_rhs(mu, nu, l, tail, xs, ys)
+        checks.record(rel_err(lhs, rhs), lam=list(lam), mu=list(mu), nu=list(nu), l=l)
+        done += 1
+    return checks.report("first-overlap", seed, instances)
+
+
+def loop_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> dict:
+    """Oracle: verify_second_overlap with ls_det and second_overlap_rhs per instance."""
+    rng = np.random.default_rng(seed)
+    checks = _Checks(tol)
+    done = 0
+    while done < instances:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 4))
+        lam = random_partition(rng, 10, max_len=n + m)
+        k = mn_index(lam, m, n)
+        if k < 0:
+            continue
+        l = int(rng.integers(0, n - k + 1))
+        pts = random_points(rng, n + m)
+        s_vars, t_vars, ys = pts[:l], pts[l:n], pts[n:]
+        lhs = ls_det(lam, s_vars + t_vars, ys)
+        rhs = second_overlap_rhs(lam, s_vars, t_vars, ys)
+        checks.record(rel_err(lhs, rhs), lam=list(lam), l=l, m=m, n=n)
+        done += 1
+    return checks.report("second-overlap", seed, instances)
