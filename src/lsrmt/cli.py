@@ -32,11 +32,8 @@ def parse_partition(text: str):
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SystemExit2(f"bad partition {text!r}; want comma-separated integers")
-    try:
-        return partitions.canonical(parts)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+        raise ValueError(f"bad partition {text!r}; want comma-separated integers")
+    return partitions.canonical(parts)
 
 
 def parse_complex_list(text: str):
@@ -45,11 +42,7 @@ def parse_complex_list(text: str):
     try:
         return tuple(complex(p) for p in text.split(","))
     except ValueError:
-        raise SystemExit2(f"bad complex list {text!r}; want e.g. 0.3+0.2j,1.1")
-
-
-class SystemExit2(Exception):
-    """Usage error carrying exit code 2."""
+        raise ValueError(f"bad complex list {text!r}; want e.g. 0.3+0.2j,1.1")
 
 
 def jsonable(value):
@@ -161,8 +154,6 @@ def cmd_compute(args) -> tuple[dict, int]:
         h = rmt.catalog_function(args.h)
         f = rmt.catalog_symmetric(args.fkey, args.n)
         value = rmt.explicit_formula_rhs(h, f, args.n, args.r, args.N, grid=args.grid)
-    else:
-        raise SystemExit2(f"unknown compute target {target!r}")
     payload = {"config": jsonable(config), "result": jsonable(value)}
     if truncation is not None:
         payload["truncation"] = truncation
@@ -187,10 +178,7 @@ def cmd_mc(args) -> tuple[dict, int]:
             params[key] = parse_complex_list(val)
     if args.h is not None:
         params["h"] = args.h
-    try:
-        est = make_estimator(args.estimator, args.N, **params)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    est = make_estimator(args.estimator, args.N, **params)
     out = mc_average(est, args.N, args.M, args.seed, workers=args.workers)
     payload = {
         "config": {
@@ -298,7 +286,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.func(args)
-    except (SystemExit2, ValueError, TruncationError, QuadratureError) as exc:
+    except (ValueError, TruncationError, QuadratureError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 2
     payload = {"schema": SCHEMA, "command": args.command, **payload}

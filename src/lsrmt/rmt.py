@@ -106,6 +106,8 @@ def product_avg(a_vars, b_vars, big_n: int, form: str = "schur") -> complex:
     s_<N^m>(A cup B^{-1}) with m = l(B); split_sum form: the equivalent sum
     over splits of A cup B^{-1}, which is ratio_avg with C = D = {}.
     """
+    if big_n < 0:
+        raise ValueError(f"N must be non-negative, got {big_n}")
     a_vars, b_vars = as_varset(a_vars), as_varset(b_vars)
     if any(v == 0 for v in a_vars + b_vars):
         raise ValueError("variables must be non-zero")
@@ -185,15 +187,24 @@ def poly_geom_tail(cutoff: int, degree: int, rho: float) -> float:
         s += 1
 
 
-def _pair_sum_tail(cutoff: int, nparts: int, rho: float, scale: float) -> float:
-    """Tail bound for partition-pair sums with nparts parts and weight rho^size."""
-    if nparts == 0:
-        return 0.0
+def _certify_pair_tail(e_vars, f_vars, nparts: int, part_cap: int, scale: float) -> float:
+    """The certified tail bound of a pair sum over E and F cut at part_cap.
+
+    The sum runs over partitions with nparts parts, weighted by rho^size with
+    rho = max|E| max|F|, which must be below 1; the bound is scale *
+    nparts!^3 / rho times the polynomial-geometric tail, and one above
+    TAIL_TOL raises TruncationError.
+    """
+    rho = max(abs(v) for v in e_vars) * max(abs(v) for v in f_vars)
+    if rho >= 1:
+        raise ValueError("need max|E| max|F| < 1")
     # checks the cutoff even when rho = 0 leaves no tail
-    tail = poly_geom_tail(cutoff, 2 * nparts - 1, rho)
-    if rho == 0:
-        return 0.0
-    return scale * factorial(nparts) ** 3 / rho * tail
+    tail = poly_geom_tail(part_cap, 2 * nparts - 1, rho)
+    if rho > 0:
+        tail *= scale * factorial(nparts) ** 3 / rho
+    if tail > TAIL_TOL:
+        raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
+    return tail
 
 
 def logders_main(e_vars, f_vars, part_cap: int = PART_CAP) -> complex:
@@ -208,12 +219,7 @@ def logders_main(e_vars, f_vars, part_cap: int = PART_CAP) -> complex:
     nparts = len(e_vars)
     if nparts == 0:
         return 1.0 + 0j
-    rho = max(abs(v) for v in e_vars) * max(abs(v) for v in f_vars)
-    if rho >= 1:
-        raise ValueError("need max|E| max|F| < 1")
-    tail = _pair_sum_tail(part_cap, nparts, rho, scale=1.0)
-    if tail > TAIL_TOL:
-        raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
+    _certify_pair_tail(e_vars, f_vars, nparts, part_cap, 1.0)
     if part_cap == 0:
         # rho = 0 zeroes the bound, but lam = <1^L> has weight rho^0 and needs part cap 1
         raise TruncationError("part cap 0 leaves out lambda = <1^L>, of weight rho^0")
@@ -258,17 +264,14 @@ def completed_logders_main(
     Sum over all partitions of (-N/2)^{l(E)+l(F)-2 l(lam)} z_lam m_lam(E)
     m_lam(F).
     """
+    if big_n < 0:
+        raise ValueError(f"N must be non-negative, got {big_n}")
     e_vars, f_vars = as_varset(e_vars), as_varset(f_vars)
     ne, nf = len(e_vars), len(f_vars)
     maxlen = min(ne, nf)
     if maxlen > 0:
-        rho = max(abs(v) for v in e_vars) * max(abs(v) for v in f_vars)
-        if rho >= 1:
-            raise ValueError("need max|E| max|F| < 1")
         amp = max((big_n / 2.0) ** (ne + nf - 2 * j) for j in range(1, maxlen + 1))
-        tail = _pair_sum_tail(part_cap, maxlen, rho, scale=max(amp, 1.0))
-        if tail > TAIL_TOL:
-            raise TruncationError(f"tail bound {tail:.3e} exceeds {TAIL_TOL}")
+        _certify_pair_tail(e_vars, f_vars, maxlen, part_cap, max(amp, 1.0))
     total = 0j
     for length, z, e_plan, f_plan in _completed_terms(maxlen, part_cap, ne, nf):
         total += (
@@ -483,6 +486,8 @@ def explicit_formula_rhs(
     returns an array.  Integrates over the two circles of radii r and 1/r by
     composite trapezoid with grid doubling until successive estimates agree.
     """
+    if big_n < 0:
+        raise ValueError(f"N must be non-negative, got {big_n}")
     if not 0 < r < 1:
         raise ValueError("need 0 < r < 1")
     if n < 1 or n > 3:

@@ -433,33 +433,32 @@ def ls_det(lam, xs, ys) -> complex:
     formula holds; callers wanting LS_lambda(X; Y) should negate X first.
     Returns 0 when the (m,n)-index of lambda is negative.
     """
-    xs, ys = as_varset(xs), as_varset(ys)
-    plan = _ls_det_plan(tuple(map(int, lam)), len(xs), len(ys))
-    return _ls_det_many(((plan, xs, ys),))[0]
+    return _ls_det_many(((lam, as_varset(xs), as_varset(ys)),))[0]
 
 
 def _ls_det_many(items) -> list[complex]:
-    """ls_det of every (plan, xs, ys) item, one determinant call per dimension.
+    """ls_det of every (lam, xs, ys) item, one determinant call per dimension.
 
-    Each plan is an ``_ls_det_plan`` entry for the item's variable counts.
-    The matrices of one dimension go to one ``np.linalg.det`` call on a
-    stack, which factors each matrix as it would factor it alone, so every
-    value is the one-item value.  Their entries, built as Python complex
-    numbers, move into arrays every STACK_CHUNK entries, so a large stack
-    holds few Python objects at a time.
+    xs and ys are VarSets; lam is any sequence of parts, planned as its
+    canonical form by the cached ``_ls_det_plan``.  The matrices of one
+    dimension go to one ``np.linalg.det`` call on a stack, which factors each
+    matrix as it would factor it alone, so every value is the one-item value.
+    Their entries, built as Python complex numbers, move into arrays every
+    STACK_CHUNK entries, so a large stack holds few Python objects at a time.
     """
     out = [0j] * len(items)
-    stacks = {}  # dim -> (item indices, filled arrays, entries not yet in an array)
-    for i, (plan, xs, ys) in enumerate(items):
+    stacks = {}  # dim -> ((item index, sign)s, filled arrays, entries not yet in an array)
+    for i, (lam, xs, ys) in enumerate(items):
+        plan = _ls_det_plan(tuple(lam), len(xs), len(ys))
         if plan is None:
             continue
         if not _distinct(xs + ys):
             raise CoincidentVariablesError(
                 "X union Y has coincident variables; use ls_comb"
             )
-        dim, x_exps, y_exps, _ = plan
+        dim, x_exps, y_exps, sign = plan
         where, arrays, flat = stacks.setdefault(dim, ([], [], []))
-        where.append(i)
+        where.append((i, sign))
         # rows [1/(x - y) | x^a] for x in X, then [y^b | 0] for each exponent b
         for x in xs:
             flat += [1 / (x - y) for y in ys]
@@ -474,8 +473,8 @@ def _ls_det_many(items) -> list[complex]:
     for dim, (where, arrays, flat) in stacks.items():
         arrays.append(np.array(flat, dtype=complex))
         dets = np.linalg.det(np.concatenate(arrays).reshape(len(where), dim, dim))
-        for i, det in zip(where, dets.tolist()):
-            (_, _, _, sign), xs, ys = items[i]
+        for (i, sign), det in zip(where, dets.tolist()):
+            _, xs, ys = items[i]
             out[i] = sign * _delta2(ys, xs) / (_delta(xs) * _delta(ys)) * det
     return out
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .overlap_identities import _first_overlap_terms, _second_overlap_terms
+from .overlap_identities import _first_overlap_terms, _fold, _items, _second_overlap_terms
 from .partitions import (
     c_seq,
     canonical,
@@ -42,7 +42,6 @@ from .schur_algebra import (
 )
 from .symfunc import (
     _ls_det_many,
-    _ls_det_plan,
     _schur_det_many,
     basis_eval,
     delta2,
@@ -132,12 +131,11 @@ def verify_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> 
         alpha = random_partition(rng, 4, max_len=n)
         beta = random_partition(rng, 4, max_len=m)
         lam_f = canonical(tuple(p + m for p in alpha + (0,) * (n - len(alpha))) + conjugate(beta))
-        plan = _ls_det_plan(lam, n, m)
         items += (
-            (plan, xs, ys),
-            (plan, tuple(a * x for x in xs), tuple(a * y for y in ys)),
-            (plan, perm_x, perm_y),
-            (_ls_det_plan(lam_f, n, m), xs, ys),
+            (lam, xs, ys),
+            (lam, tuple(a * x for x in xs), tuple(a * y for y in ys)),
+            (lam, perm_x, perm_y),
+            (lam_f, xs, ys),
         )
         drawn.append((lam, xs, ys, a, t, alpha, beta, lam_f))
 
@@ -179,8 +177,8 @@ def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> 
     """Seeded random instances of the first overlap identity, all in one stack."""
     rng = np.random.default_rng(seed)
     checks = _Checks(tol)
-    items, folds = [], []
-    while len(folds) < instances:
+    items, cases = [], []
+    while len(cases) < instances:
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 4))
         lam = random_partition(rng, 10, max_len=n + m)
@@ -193,14 +191,13 @@ def verify_first_overlap(seed: int, instances: int = 200, tol: float = 1e-7) -> 
         mu, nu, _ = fiber[int(rng.integers(len(fiber)))]
         xs = random_points(rng, n)
         ys = random_points(rng, m, avoid=xs)
-        rhs_items, combine = _first_overlap_terms(mu, nu, l, tail, xs, ys)
-        items.append((_ls_det_plan(lam, n, m), xs, ys))
-        items += rhs_items
-        folds.append((combine, {"lam": list(lam), "mu": list(mu), "nu": list(nu), "l": l}))
+        terms = _first_overlap_terms(mu, nu, l, tail, xs, ys)
+        items += [(lam, xs, ys), *_items(terms)]
+        cases.append((terms, {"lam": list(lam), "mu": list(mu), "nu": list(nu), "l": l}))
     vals = iter(_ls_det_many(items))
-    for combine, context in folds:
+    for terms, context in cases:
         lhs = next(vals)
-        checks.record(rel_err(lhs, combine(vals)), **context)
+        checks.record(rel_err(lhs, _fold(terms, vals)), **context)
     return checks.report("first-overlap", seed, instances)
 
 
@@ -208,8 +205,8 @@ def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) ->
     """Seeded random instances of the second overlap identity, all in one stack."""
     rng = np.random.default_rng(seed)
     checks = _Checks(tol)
-    items, folds = [], []
-    while len(folds) < instances:
+    items, cases = [], []
+    while len(cases) < instances:
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 4))
         lam = random_partition(rng, 10, max_len=n + m)
@@ -219,14 +216,13 @@ def verify_second_overlap(seed: int, instances: int = 200, tol: float = 1e-7) ->
         l = int(rng.integers(0, n - k + 1))
         pts = random_points(rng, n + m)
         s_vars, t_vars, ys = pts[:l], pts[l:n], pts[n:]
-        rhs_items, combine = _second_overlap_terms(lam, s_vars, t_vars, ys)
-        items.append((_ls_det_plan(lam, n, m), s_vars + t_vars, ys))
-        items += rhs_items
-        folds.append((combine, {"lam": list(lam), "l": l, "m": m, "n": n}))
+        terms = _second_overlap_terms(lam, s_vars, t_vars, ys)
+        items += [(lam, s_vars + t_vars, ys), *_items(terms)]
+        cases.append((terms, {"lam": list(lam), "l": l, "m": m, "n": n}))
     vals = iter(_ls_det_many(items))
-    for combine, context in folds:
+    for terms, context in cases:
         lhs = next(vals)
-        checks.record(rel_err(lhs, combine(vals)), **context)
+        checks.record(rel_err(lhs, _fold(terms, vals)), **context)
     return checks.report("second-overlap", seed, instances)
 
 
@@ -463,8 +459,13 @@ def run_suite(name: str, seed: int, instances: int | None = None, tol: float | N
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     kwargs = {}
+    # a run of no instances checks nothing, and no error exceeds a NaN tolerance
     if instances is not None:
+        if instances < 1:
+            raise ValueError(f"instances must be at least 1, got {instances}")
         kwargs["instances"] = instances
     if tol is not None:
+        if not 0 <= tol < float("inf"):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {tol}")
         kwargs["tol"] = tol
     return SUITES[name](seed, **kwargs)

@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 85 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 90 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  An uncaught exception counts as exit code 1 with
 its type and message on stderr.  Run it on two checkouts and compare the lines:
@@ -100,6 +100,14 @@ INVOCATIONS += [
 ]
 INVOCATIONS += [["verify", suite, "--seed", "1", "--tolerance", "1e-30"]
                 for suite in ("overlap-1", "overlap-2", "ls-properties")]
+# exit 2: a run of no instances, a NaN tolerance, a negative matrix size
+INVOCATIONS += [
+    ["verify", "overlap-1", "--instances", "-5"],
+    ["verify", "cauchy", "--instances", "-5"],
+    ["verify", "ls-properties", "--tolerance", "nan"],
+    ["compute", "completed-main", "--e", "0.3", "--f", "0.3", "--N", "-4"],
+    ["compute", "explicit-rhs", "--n", "1", "--h", "rational:2", "--N", "-8"],
+]
 
 
 def digest(argv) -> str:

@@ -158,6 +158,31 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite, flag, value, error", [
+    ("overlap-1", "--instances", "-5", "instances must be at least 1, got -5"),
+    ("cauchy", "--instances", "-5", "instances must be at least 1, got -5"),
+    ("ls-properties", "--instances", "0", "instances must be at least 1, got 0"),
+    ("ls-properties", "--tolerance", "nan", "tolerance must be a finite number >= 0, got nan"),
+    ("overlap-2", "--tolerance", "inf", "tolerance must be a finite number >= 0, got inf"),
+    ("mn-all", "--tolerance", "-1", "tolerance must be a finite number >= 0, got -1.0"),
+])
+def test_verify_refuses_empty_runs_and_unusable_tolerances(suite, flag, value, error, capsys):
+    # a run of no instances checks nothing, and no error exceeds a NaN tolerance
+    code, payload = run_json(["verify", suite, "--seed", "1", flag, value], capsys)
+    assert code == 2
+    assert payload == {"schema": "ls-rmt/1", "error": error}
+
+
+@pytest.mark.parametrize("args", [
+    ["completed-main", "--e", "0.3", "--f", "0.3", "--N", "-4"],
+    ["explicit-rhs", "--n", "1", "--h", "rational:2", "--N", "-4"],
+])
+def test_compute_negative_n_exits_2(args, capsys):
+    code, payload = run_json(["compute", *args], capsys)
+    assert code == 2
+    assert payload["error"] == "N must be non-negative, got -4"
+
+
 @pytest.mark.parametrize("instances", ["50", "1"])
 def test_recipe_consistency_refuses_other_instance_counts(instances, capsys):
     # the suite has exactly 3 checks; its report must not claim more or fewer

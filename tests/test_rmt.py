@@ -83,6 +83,20 @@ def test_product_avg_forms_agree():
         assert rel_err(got1, got2) < 1e-8
 
 
+@pytest.mark.parametrize("call", [
+    lambda: product_avg((0.5,), (), -1, form="schur"),
+    lambda: product_avg((0.5,), (), -1, form="split_sum"),
+    lambda: completed_logders_main((0.3,), (0.3,), -1),
+    lambda: completed_logders_main((), (), -1),
+    lambda: explicit_formula_rhs(catalog_function("rational:2"), catalog_symmetric("one", 1),
+                                 1, 0.6, -1),
+], ids=["product-schur", "product-split-sum", "completed", "completed-empty", "explicit-rhs"])
+def test_negative_matrix_size_is_refused(call):
+    # every closed form over U(N) refuses N < 0, as mc_average does
+    with pytest.raises(ValueError, match=r"^N must be non-negative, got -1$"):
+        call()
+
+
 def test_ratio_avg_reduces_to_product():
     rng = np.random.default_rng(1)
     a = random_points(rng, 2)
@@ -399,7 +413,7 @@ def test_catalogs():
 
 def test_logders_tail_certificate_below_tolerance():
     # the certified bound at the default cutoff must sit under 1e-10
-    from lsrmt.rmt import PART_CAP, _pair_sum_tail
+    from lsrmt.rmt import PART_CAP, _certify_pair_tail
 
-    bound = _pair_sum_tail(PART_CAP, 1, 0.09, scale=1.0)
+    bound = _certify_pair_tail((0.3,), (0.3,), 1, PART_CAP, 1.0)
     assert 0 < bound < 1e-10

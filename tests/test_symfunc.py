@@ -584,7 +584,7 @@ def _schur_det_one_matrix(lam, xs):
 
 
 def test_ls_det_stack_matches_one_matrix_at_a_time():
-    # one mixed stack: None plans (negative index), dim-0 items, dims 1..6
+    # one mixed stack: negative-index shapes, dim-0 items, dims 1..6
     rng = np.random.default_rng(26)
     items, want = [], []
     for n in range(5):
@@ -592,12 +592,25 @@ def test_ls_det_stack_matches_one_matrix_at_a_time():
             pts = random_points(rng, n + m)
             xs, ys = pts[:n], pts[n:]
             for lam in partitions_up_to(8):
-                items.append((_ls_det_plan(lam, n, m), xs, ys))
+                items.append((lam, xs, ys))
                 want.append(_ls_det_by_elements(lam, xs, ys))
-    plans = [plan for plan, _, _ in items]
+    plans = [_ls_det_plan(lam, len(xs), len(ys)) for lam, xs, ys in items]
     assert None in plans
     assert {plan[0] for plan in plans if plan} == set(range(7))
     assert _ls_det_many(items) == want
+
+
+def test_ls_det_stack_plans_the_canonical_shape():
+    # trailing zeros and lists give the canonical tuple's value, bit for bit
+    rng = np.random.default_rng(29)
+    pts = random_points(rng, 5)
+    for n in range(4):
+        xs, ys = pts[:n], pts[n:]
+        for lam in partitions_up_to(6):
+            items = [(lam, xs, ys), (lam + (0, 0), xs, ys), (list(lam) + [0], xs, ys)]
+            base, padded, listed = _ls_det_many(items)
+            assert padded == base and listed == base, (lam, n)
+            assert ls_det(list(lam) + [0], xs, ys) == base, (lam, n)
 
 
 def test_schur_det_stack_matches_one_matrix_at_a_time():
@@ -614,12 +627,22 @@ def test_one_coincident_item_fails_the_whole_stack():
     rng = np.random.default_rng(28)
     pts = random_points(rng, 5)
     xs, ys = pts[:3], pts[3:]
-    good = [(_ls_det_plan(lam, 3, 2), xs, ys) for lam in partitions_up_to(4)]
+    good = [(lam, xs, ys) for lam in partitions_up_to(4)]
     twin = ((xs[0], xs[0] + 1e-9, xs[2]), ys)
     with pytest.raises(CoincidentVariablesError):
-        _ls_det_many(good[:4] + [(_ls_det_plan((2, 1), 3, 2), *twin)] + good[4:])
-    # an item whose index is negative is zero without a distinctness check
-    assert _ls_det_plan((3, 3, 3, 3), 3, 2) is None
-    assert _ls_det_many(good + [(None, *twin)])[-1] == 0
+        _ls_det_many(good[:4] + [((2, 1), *twin)] + good[4:])
     with pytest.raises(CoincidentVariablesError):
         _schur_det_many([(5,), (1,), ()], twin[0])
+
+
+def test_negative_index_item_is_zero_without_distinctness_check():
+    rng = np.random.default_rng(28)
+    pts = random_points(rng, 5)
+    xs, ys = pts[:3], pts[3:]
+    twin = ((xs[0], xs[0] + 1e-9, xs[2]), ys)
+    # (3, 3, 3, 3) has (2, 3)-index -1, also with a trailing zero
+    assert mn_index((3, 3, 3, 3), 2, 3) < 0
+    good = [(lam, xs, ys) for lam in partitions_up_to(4)]
+    got = _ls_det_many(good + [((3, 3, 3, 3), *twin), ((3, 3, 3, 3, 0), *twin)])
+    assert got[-2:] == [0, 0]
+    assert got[:-2] == _ls_det_many(good)

@@ -38,7 +38,6 @@ from lsrmt.partitions import (
 from lsrmt.symfunc import (
     _delta,
     _ls_det_many,
-    _ls_det_plan,
     as_varset,
     basis_eval,
     delta2,
@@ -307,11 +306,10 @@ def loop_ls_properties(seed: int, instances: int = 100, tol: float = 1e-7) -> di
         a = complex(*rng.uniform(0.5, 1.2, size=2))
         perm_x = tuple(xs[i] for i in rng.permutation(n))
         perm_y = tuple(ys[i] for i in rng.permutation(m))
-        plan = _ls_det_plan(lam, n, m)
         base, scaled, permuted = _ls_det_many((
-            (plan, xs, ys),
-            (plan, tuple(a * x for x in xs), tuple(a * y for y in ys)),
-            (plan, perm_x, perm_y),
+            (lam, xs, ys),
+            (lam, tuple(a * x for x in xs), tuple(a * y for y in ys)),
+            (lam, perm_x, perm_y),
         ))
         checks.record(rel_err(scaled, a ** sum(lam) * base), property="homogeneity", lam=list(lam))
         checks.record(rel_err(permuted, base), property="double-symmetry", lam=list(lam))
