@@ -24,14 +24,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .rmt import (
-    _refine_grid,
-    catalog_function,
-    completed_logders_main,
-    logders_main,
-    moment_unitary,
-    ratio_avg,
-)
+from .rmt import _refine_grid, catalog_function, ratio_avg
 from .symfunc import monomial_on_arrays, schur_in_monomials
 
 POLE_EPS = 1e-9
@@ -258,12 +251,32 @@ class Estimator:
         return self.char_func(*_spectral_char(eigs, self.points))
 
 
+def _logder_pair_mean(eps: complex, phi: complex, big_n: int) -> complex | None:
+    """Exact U(N) mean of eps chi_g'/chi_g(eps) * phi chi_{g^-1}'/chi_{g^-1}(phi).
+
+    For |eps|, |phi| < 1 the factors are -sum_k tr(g^-k) eps^k and
+    -sum_k tr(g^k) phi^k, and E[tr g^-j tr g^k] = delta_jk min(k, N)
+    (Diaconis & Shahshahani, J. Appl. Probab. 31A, 1994), so with x = eps phi
+    the mean is sum_{k>=1} min(k, N) x^k = x (1 - x^N) / (1 - x)^2.  None
+    outside the disc, where the expansion fails, and for N < 0.
+    """
+    if big_n < 0 or abs(eps) >= 1 or abs(phi) >= 1:
+        return None
+    x = eps * phi
+    return x * (1 - x ** big_n) / (1 - x) ** 2
+
+
 def make_estimator(name: str, big_n: int, **params) -> Estimator:
-    """Build a named estimator; prediction is attached when a closed form exists.
+    """Build a named estimator; its prediction is the exact U(N) mean, or None.
 
     Names: one, trace, abs_trace_sq, abs_char_sq, ratio, logder_pair,
-    completed_logder_pair, explicit_sum, schur_pair.  A parameter that the
-    named estimator does not read raises ValueError.
+    completed_logder_pair, explicit_sum, schur_pair.  logder_pair predicts
+    x (1 - x^N) / (1 - x)^2 with x = eps phi and completed_logder_pair N^2/4
+    plus that, both in O(1) and for |eps|, |phi| < 1 only (rmt.logders_main
+    and completed_logders_main are their large-N limits); abs_char_sq
+    predicts N + 1 on the unit circle only, ratio predicts ratio_avg where
+    its conditions hold, and explicit_sum predicts nothing.  A parameter that
+    the named estimator does not read raises ValueError.
     """
     if name == "one":
         est = Estimator(lambda e: np.ones(e.shape[0], dtype=complex), 1.0 + 0j)
@@ -273,7 +286,8 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
         est = Estimator(lambda e: np.abs(np.sum(e, axis=1)).astype(complex) ** 2, 1.0 + 0j)
     elif name == "abs_char_sq":
         z = complex(params.pop("z", 1.0))
-        pred = complex(moment_unitary(1, big_n)) if abs(abs(z) - 1) < 1e-12 else None
+        # E|chi_g(z)|^2 = N + 1 on the unit circle (moment_unitary(1, N))
+        pred = complex(big_n + 1) if abs(abs(z) - 1) < 1e-12 else None
         est = Estimator(
             None, pred, (z,), lambda chi, dchi: np.abs(chi[:, 0]).astype(complex) ** 2
         )
@@ -306,7 +320,7 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
     elif name == "logder_pair":
         eps = complex(params.pop("eps", 0.3))
         phi = complex(params.pop("phi", 0.3))
-        pred = eps * phi * logders_main((eps,), (phi,))
+        pred = _logder_pair_mean(eps, phi, big_n)
 
         def pair_char(chi, dchi):
             logder = _logder_from_char(chi, dchi)
@@ -317,7 +331,8 @@ def make_estimator(name: str, big_n: int, **params) -> Estimator:
     elif name == "completed_logder_pair":
         eps = complex(params.pop("eps", 0.3))
         phi = complex(params.pop("phi", 0.3))
-        pred = completed_logders_main((eps,), (phi,), big_n)
+        pair = _logder_pair_mean(eps, phi, big_n)
+        pred = None if pair is None else big_n ** 2 / 4 + pair
 
         def completed_char(chi, dchi):
             logder = _logder_from_char(chi, dchi)

@@ -12,14 +12,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 
 Partition = tuple[int, ...]
 
 
 def canonical(parts) -> Partition:
-    """Canonical form: tuple without trailing zeros."""
-    p = tuple(int(x) for x in parts)
+    """Canonical form: tuple of ints without trailing zeros.
+
+    A part that is not an integer (2.5, and 2.0 too) raises ValueError.
+    """
+    try:
+        p = tuple(map(index, parts))
+    except TypeError:
+        raise ValueError(f"non-integer part in {parts}") from None
     while p and p[-1] == 0:
         p = p[:-1]
     if any(x < 0 for x in p):

@@ -345,7 +345,7 @@ def schur_comb(lam, xs, cap: int = SIZE_CAP) -> complex:
     tableau sum organized by the largest entry; valid for repeated variables.
     """
     xs = as_varset(xs)
-    levels, slot = _comb_plan(tuple(map(int, lam)), len(xs), 0, cap)
+    levels, slot = _comb_plan(tuple(lam), len(xs), 0, cap)
     return _branching_values(levels, xs)[slot]
 
 
@@ -412,7 +412,7 @@ def ls_comb(lam, xs, ys) -> complex:
     arbitrary, even coincident, values.
     """
     xs, ys = as_varset(xs), as_varset(ys)
-    levels, slot = _comb_plan(tuple(map(int, lam)), len(xs), len(ys), SIZE_CAP)
+    levels, slot = _comb_plan(tuple(lam), len(xs), len(ys), SIZE_CAP)
     return _branching_values(levels, xs + ys)[slot]
 
 

@@ -3,10 +3,13 @@
 Runs perfbench's ``generate`` / ``execute`` / ``check`` for every pass in a
 range, as a benchmark worker would (the warm-up request first, then the
 passes in order, each checked against the results of its own pass), without
-timing anything.  It prints, per seed, the sha256 of all results; then every
-request whose oracle fails; then, over all seeds, the largest Monte Carlo
-z-score |mean - prediction| / stderr per (estimator, N) with the request that
-reached it.  Run it on two checkouts and compare the hashes:
+timing anything.  It prints, per seed, the sha256 of all results and a
+draws-only sha256 of the same results with every Monte Carlo result's
+``prediction`` removed, so a change that moves predictions alone can show its
+draws bit for bit unchanged; then every request whose oracle fails; then,
+over all seeds, the largest Monte Carlo z-score |mean - prediction| / stderr
+per (estimator, N) with the request that reached it.  Run it on two checkouts
+and compare the hashes:
 
     PYTHONPATH=src python tests/bench_scan.py --workload mc_charpoly --seeds 1-3 --passes 0:200
     PYTHONPATH=/path/to/other/checkout/src python tests/bench_scan.py ...
@@ -54,14 +57,21 @@ def z_score(req, value) -> float | None:
     return diff / stderr if stderr > 0 else None
 
 
-def scan(workload: str, seed: int, passes: range, zmax: dict) -> tuple[str, int, list]:
-    """(sha256 of the results, requests run, failures) for one seed."""
-    digest = hashlib.sha256()
+def without_prediction(req, value):
+    """value with a Monte Carlo result's prediction removed: what its draws decide."""
+    if req["op"] in ("mc", "mc_explicit") and value is not None:
+        return {key: v for key, v in value.items() if key != "prediction"}
+    return value
+
+
+def scan(workload: str, seed: int, passes: range, zmax: dict) -> tuple[str, str, int, list]:
+    """(sha256 of the results, draws-only sha256, requests run, failures) for one seed."""
+    digest, draws = hashlib.sha256(), hashlib.sha256()
     failures, count = [], 0
     stream = itertools.chain([[workloads.warmup(workload, seed)]],
                              (workloads.generate(workload, seed, i) for i in passes))
     for requests in stream:
-        done, results = {}, []
+        done, results, drawn = {}, [], []
         for req in requests:
             try:
                 value = workloads.execute(req)
@@ -70,6 +80,7 @@ def scan(workload: str, seed: int, passes: range, zmax: dict) -> tuple[str, int,
                 value, error = None, f"raised {type(exc).__name__}: {exc}"
             done[req["id"]] = value
             results.append(value)
+            drawn.append(without_prediction(req, value))
             count += 1
             if error is not None:
                 failures.append((seed, req["id"], req["op"], error))
@@ -79,7 +90,8 @@ def scan(workload: str, seed: int, passes: range, zmax: dict) -> tuple[str, int,
                 if z > zmax.get(key, (-1.0,))[0]:
                     zmax[key] = (z, seed, req["id"])
         digest.update(json.dumps(results, sort_keys=True).encode())
-    return digest.hexdigest(), count, failures
+        draws.update(json.dumps(drawn, sort_keys=True).encode())
+    return digest.hexdigest(), draws.hexdigest(), count, failures
 
 
 def main(argv=None) -> int:
@@ -90,10 +102,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     zmax, failures = {}, []
     for seed in args.seeds:
-        digest, count, failed = scan(args.workload, seed, args.passes, zmax)
+        digest, draws, count, failed = scan(args.workload, seed, args.passes, zmax)
         failures += failed
         print(f"seed {seed} passes {args.passes.start}:{args.passes.stop} requests {count} "
-              f"failed {len(failed)} sha256 {digest}", flush=True)
+              f"failed {len(failed)} sha256 {digest} draws_sha256 {draws}", flush=True)
     for seed, req_id, op, reason in failures:
         print(f"FAIL seed {seed} request {req_id} {op}: {reason}")
     for (name, big_n), (z, seed, req_id) in sorted(zmax.items()):

@@ -1,6 +1,6 @@
 """Byte-identity check for CLI output: one sha256 per invocation.
 
-Runs a fixed list of 90 invocations in-process through ``lsrmt.cli.main`` and
+Runs a fixed list of 95 invocations in-process through ``lsrmt.cli.main`` and
 prints, per invocation, the sha256 of its exit code, stdout and stderr,
 followed by the arguments.  An uncaught exception counts as exit code 1 with
 its type and message on stderr.  Run it on two checkouts and compare the lines:
@@ -27,6 +27,7 @@ BENCH_INSTANCES = {"overlap-1": 250, "overlap-2": 200, "ls-properties": 100, "ca
                    "mn-all": 5}
 MC_SMALL = ["--N", "4", "--M", "2000", "--seed", "5"]
 MC_LOGDER = ["--N", "20", "--M", "1000", "--seed", "2", "--eps", "0.4", "--phi", "0.2+0.1j"]
+MC_WIDE = ["--N", "20", "--M", "1000", "--seed", "2"]
 
 INVOCATIONS = (
     [["verify", suite, "--seed", "0"] for suite in SUITES]
@@ -77,7 +78,7 @@ INVOCATIONS = (
        for target in ("logders-main", "completed-main")]
     + [["compute", "logders-main", "--e", "0", "--f", "0.3", "--part-cap", "0"],
        ["compute", "ls", "--lambda", "21", "--x", "0.5", "--y", "0.7", "--method", "comb"]]
-    # zero standard error off the prediction (z null); a negative N (exit 2)
+    # zero standard error on the prediction (z 0); a negative N (exit 2)
     + [["mc", "--estimator", est, "--N", "0", "--M", "100"]
        for est in ("logder_pair", "completed_logder_pair")]
     + [["mc", "--estimator", est, "--N", "-1", "--M", "100"] for est in ("ratio", "logder_pair")]
@@ -90,7 +91,7 @@ INVOCATIONS += [
                  ["mc", "--estimator", "abs_char_sq", *MC_SMALL],
                  ["verify", "cauchy", "--seed", "0"])
 ]
-# a JSON null in csv (an empty field); lists in csv (quoted JSON cells); the failure
+# an mc payload at zero stderr in csv; lists in csv (quoted JSON cells); the failure
 # reports of mn-all and of the three one-stack suites, each failure with its error (exit 1)
 INVOCATIONS += [
     ["--output", "csv", "mc", "--estimator", "logder_pair", "--N", "0", "--M", "100"],
@@ -108,6 +109,15 @@ INVOCATIONS += [
     ["compute", "completed-main", "--e", "0.3", "--f", "0.3", "--N", "-4"],
     ["compute", "explicit-rhs", "--n", "1", "--h", "rational:2", "--N", "-8"],
 ]
+# the log-derivative predictions past the main term's tail bound (|eps phi| = 0.64)
+# and off the unit disc (no prediction, no z); abs_char_sq's N + 1 at a point of the circle
+INVOCATIONS += [
+    ["mc", "--estimator", est, *MC_WIDE, "--eps", eps, "--phi", phi]
+    for eps, phi in (("0.8", "0.8"), ("1.5", "0.3"))
+    for est in ("logder_pair", "completed_logder_pair")
+]
+INVOCATIONS += [["mc", "--estimator", "abs_char_sq", "--N", "10", "--M", "1000", "--seed", "2",
+                 "--z", "1j"]]
 
 
 def digest(argv) -> str:

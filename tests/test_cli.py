@@ -7,6 +7,7 @@ import pytest
 
 from lsrmt import cli
 from lsrmt.cli import main
+from lsrmt.haar import make_estimator
 
 
 def run_cli(args, capsys):
@@ -134,15 +135,44 @@ def test_mc_negative_n_exits_2(estimator, capsys):
     assert payload["error"] == "N must be non-negative, got -1"
 
 
+def _predict_off_by_one(monkeypatch):
+    """Make cmd_mc's estimators predict their exact mean plus 1."""
+    def make(name, big_n, **params):
+        est = make_estimator(name, big_n, **params)
+        est.prediction += 1
+        return est
+
+    monkeypatch.setattr(cli, "make_estimator", make)
+
+
 @pytest.mark.parametrize("estimator, z_score", [
-    ("logder_pair", None), ("completed_logder_pair", None), ("abs_char_sq", 0.0),
+    ("logder_pair", 0.0), ("completed_logder_pair", 0.0), ("abs_char_sq", 0.0),
+    ("logder_pair", None),
 ])
-def test_mc_zero_stderr_z_score(estimator, z_score, capsys):
-    # at N = 0 every sample is the same value: a miss has no finite z, a hit has z 0
+def test_mc_zero_stderr_z_score(estimator, z_score, capsys, monkeypatch):
+    # at N = 0 every sample is the same value, the exact mean: a hit has z 0,
+    # and a prediction moved off it has no finite z
+    if z_score is None:
+        _predict_off_by_one(monkeypatch)
     code, payload = run_json(["mc", "--estimator", estimator, "--N", "0", "--M", "100"], capsys)
     assert code == 0 and payload["estimate"]["stderr"] == 0
     assert payload["z_score"] == z_score
     assert (payload["prediction"]["re"] == payload["estimate"]["mean_re"]) == (z_score == 0)
+
+
+@pytest.mark.parametrize("eps, phi", [("0.8", "0.8"), ("1.5", "0.3")])
+@pytest.mark.parametrize("estimator", ["logder_pair", "completed_logder_pair"])
+def test_mc_logder_prediction_inside_and_outside_the_disc(estimator, eps, phi, capsys):
+    # |eps phi| = 0.64 is past the main term's tail bound at its default part
+    # cap, but the exact mean needs no truncation; off the disc there is none
+    args = ["mc", "--estimator", estimator, "--N", "20", "--M", "1000", "--seed", "2",
+            "--eps", eps, "--phi", phi]
+    code, payload = run_json(args, capsys)
+    assert code == 0
+    if float(eps) < 1:
+        assert payload["z_score"] < 4
+    else:
+        assert "prediction" not in payload and "z_score" not in payload
 
 
 def test_verify_suite_pass(capsys):
@@ -298,8 +328,9 @@ def test_csv_and_text_outputs(capsys):
     assert "result" in out
 
 
-def test_csv_renders_null_as_empty_field(capsys):
-    # at N = 0 the standard error is 0 and the mean misses the prediction: z is null
+def test_csv_renders_null_as_empty_field(capsys, monkeypatch):
+    # at N = 0 the standard error is 0 and the mean misses the moved prediction: z is null
+    _predict_off_by_one(monkeypatch)
     args = ["mc", "--estimator", "logder_pair", "--N", "0", "--M", "100"]
     code, payload = run_json(args, capsys)
     assert code == 0 and payload["z_score"] is None

@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -21,9 +22,9 @@ from lsrmt.haar import (
     weyl_quadrature,
 )
 from lsrmt.partitions import partitions_up_to
-from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, moment_unitary, ratio_avg
+from lsrmt.rmt import MAX_GRID_POINTS, QuadratureError, logders_main, moment_unitary, ratio_avg
 from lsrmt.symfunc import schur_comb
-from util import loop_tilted_char, rel_err, two_array_szego
+from util import loop_tilted_char, random_points, rel_err, two_array_szego
 
 
 def test_sample_haar_unit_modulus_and_det():
@@ -240,6 +241,81 @@ def test_schur_pair_matches_branching_rule_at_n20():
     for value, row in zip(got, eigs):
         want = schur_comb(mu, tuple(row)) * np.conj(schur_comb(nu, tuple(row)))
         assert abs(value - want) <= 1e-10 * max(abs(value), abs(want))
+
+
+# -- predictions ------------------------------------------------------------------
+
+LOGDER_NAMES = ("logder_pair", "completed_logder_pair")
+
+
+def _haar_mean(est, big_n):
+    """The U(N) mean of est by Weyl quadrature; U(0) is one point, the empty spectrum."""
+    if big_n == 0:
+        return complex(est(np.empty((1, 0), dtype=complex))[0])
+    return weyl_quadrature(est, big_n)
+
+
+def _min_series(x: Fraction, big_n: int) -> Fraction:
+    """sum_{k>=1} min(k, N) x^k in exact arithmetic, to a tail below 1e-18 |x|."""
+    total, power, k = Fraction(0), Fraction(1), 0
+    while True:
+        k += 1
+        power *= x
+        total += min(k, big_n) * power
+        # the terms past k are bounded by N |x|^j, a geometric tail
+        if k >= big_n and big_n * abs(power * x) / (1 - abs(x)) < abs(x) / 10 ** 18:
+            return total
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", LOGDER_NAMES)
+def test_logder_predictions_equal_weyl_quadrature(name, big_n):
+    for eps, phi in ((0.3, 0.3), (0.5 + 0.2j, 0.4 - 0.1j), (-0.4j, 0.45)):
+        est = make_estimator(name, big_n, eps=eps, phi=phi)
+        assert abs(est.prediction - _haar_mean(est, big_n)) < 1e-12, (eps, phi)
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 5, 20, 50])
+def test_logder_predictions_equal_the_exact_series(big_n):
+    # sum_k min(k, N) (eps phi)^k at rational points, |eps phi| up to 0.9
+    pairs = [(Fraction(3, 10), Fraction(3, 10)), (Fraction(19, 20), Fraction(18, 19)),
+             (Fraction(-7, 10), Fraction(9, 10)), (Fraction(1, 2), Fraction(-4, 5))]
+    for eps, phi in pairs:
+        pair = _min_series(eps * phi, big_n)
+        for name, want in (("logder_pair", pair),
+                           ("completed_logder_pair", Fraction(big_n ** 2, 4) + pair)):
+            got = make_estimator(name, big_n, eps=float(eps), phi=float(phi)).prediction
+            assert abs(got - float(want)) <= 1e-13 * abs(float(want)), (name, eps, phi)
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 5, 20, 50])
+def test_logder_predictions_are_main_terms_times_one_minus_x_to_the_n(big_n):
+    # rmt.logders_main is the N -> infinity limit; |eps phi| < 0.57 keeps its tail bound
+    rng = np.random.default_rng(29)
+    for eps, phi in zip(random_points(rng, 12, rmin=0.05, rmax=0.75),
+                        random_points(rng, 12, rmin=0.05, rmax=0.75)):
+        x = eps * phi
+        pair = x * logders_main((eps,), (phi,)) * (1 - x ** big_n)
+        for name, want in (("logder_pair", pair), ("completed_logder_pair",
+                                                   big_n ** 2 / 4 + pair)):
+            got = make_estimator(name, big_n, eps=eps, phi=phi).prediction
+            assert abs(got - want) <= 1e-13 * abs(want), (name, eps, phi)
+
+
+@pytest.mark.parametrize("name", LOGDER_NAMES)
+def test_logder_predictions_need_the_open_unit_disc(name):
+    # the series behind both predictions converges for |eps|, |phi| < 1 only
+    for eps, phi in ((1.5, 0.3), (0.3, 1.5), (1.0, 0.3), (0.3, -1j), (0.99, 0.99), (0.8, 0.8)):
+        pred = make_estimator(name, 20, eps=eps, phi=phi).prediction
+        assert (pred is None) == (max(abs(eps), abs(phi)) >= 1), (eps, phi)
+
+
+def test_abs_char_sq_prediction_is_the_first_moment_bitwise():
+    for big_n in range(201):
+        pred = make_estimator("abs_char_sq", big_n, z=1j).prediction
+        want = complex(moment_unitary(1, big_n))
+        assert (pred.real.hex(), pred.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert make_estimator("abs_char_sq", 5, z=0.5).prediction is None
 
 
 # -- Verblunsky sampler ----------------------------------------------------------

@@ -83,6 +83,14 @@ def test_complement_rejects_overflow():
         complement((1, 1, 1), 2, 2)
 
 
+def test_canonical_refuses_non_integer_parts():
+    # a part is an integer, not a float that truncates to one
+    assert canonical((3, 2, 0, 0)) == (3, 2)
+    for parts in ((2.5,), (2.5, 1.9), (2.0,), (3, 1.0)):
+        with pytest.raises(ValueError, match="non-integer part"):
+            canonical(parts)
+
+
 @given(partition_st)
 def test_complement_involution(lam):
     m = (lam[0] if lam else 0) + 2

@@ -201,8 +201,9 @@ def test_completed_logders_main_cases():
 
 def test_logder_closed_forms_are_large_n_main_terms():
     # exact U(N) means by Weyl quadrature: 0.0989011, 0.1078022, 0.1086033 at
-    # N = 1, 2, 3 against 0.1086825 for every N; the gap is (eps phi)^N times
-    # the main term, for the plain and the completed pair alike
+    # N = 1, 2, 3 against the main term 0.1086825 for every N; the gap is
+    # (eps phi)^N times the main term, for the plain and the completed pair
+    # alike, and the mc predictions are the exact means
     eps = phi = 0.3
     main = eps * phi * logders_main((eps,), (phi,))
     assert rel_err(main, eps * phi / (1 - eps * phi) ** 2) < 1e-12
@@ -210,10 +211,14 @@ def test_logder_closed_forms_are_large_n_main_terms():
         gap = (eps * phi) ** big_n * main
         plain = make_estimator("logder_pair", big_n, eps=eps, phi=phi)
         completed = make_estimator("completed_logder_pair", big_n, eps=eps, phi=phi)
-        assert plain.prediction == main
-        assert abs(plain.prediction - weyl_quadrature(plain, big_n) - gap) < 1e-12, big_n
-        assert abs(completed.prediction - weyl_quadrature(completed, big_n) - gap) < 1e-12, big_n
+        plain_mean = weyl_quadrature(plain, big_n)
+        completed_mean = weyl_quadrature(completed, big_n)
+        completed_main = completed_logders_main((eps,), (phi,), big_n)
+        assert abs(main - plain_mean - gap) < 1e-12, big_n
+        assert abs(completed_main - completed_mean - gap) < 1e-12, big_n
         assert abs(gap) > 7e-5
+        assert abs(plain.prediction - plain_mean) < 1e-12, big_n
+        assert abs(completed.prediction - completed_mean) < 1e-12, big_n
 
 
 def test_completed_logders_binomial_consistency():

@@ -195,6 +195,15 @@ def test_schur_det_coincident_raises():
         schur_det((1,), (1.0, 1.0 + 1e-9))
 
 
+def test_shapes_with_non_integer_parts_raise():
+    # (2.5,) is refused, not evaluated as (2,)
+    xs, ys = (0.3, 0.7), (0.5,)
+    for evaluate in (lambda: schur_det((2.5,), xs), lambda: schur_comb((2.5,), xs),
+                     lambda: ls_comb((2.5,), xs, ys)):
+        with pytest.raises(ValueError, match="non-integer part"):
+            evaluate()
+
+
 def test_schur_comb_handles_repeats_and_restriction():
     assert schur_comb((2,), (1.0, 1.0)) == pytest.approx(3)
     rng = np.random.default_rng(6)
